@@ -9,9 +9,8 @@ choice; each record is "sweep-name knob error".
 
 import numpy as np
 
-from prolate_ewald import (CoulombSolver, EwaldParameters, build_cell_list,
-                           direct_ksum, short_range)
-from prolate_ewald.system import Cell, ParticleSystem
+from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
+                           ParticleSystem, evaluate_exact)
 
 
 def main():
@@ -24,9 +23,7 @@ def main():
 
     def pressure_error(solver):
         out = solver.evaluate(sys)
-        _, _, p_d = direct_ksum(sys, solver.kern)
-        sr = short_range(sys, solver.kern, build_cell_list(sys, r_c))
-        p_ref = sr.pressure + p_d
+        p_ref = evaluate_exact(sys, solver.params).pressure
         return np.linalg.norm(out.pressure - p_ref) / np.linalg.norm(p_ref)
 
     for delta in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):

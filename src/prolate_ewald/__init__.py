@@ -8,7 +8,7 @@ desk-scale NPT integrator.
 """
 
 from .evaluate import (CoulombSolver, EnergyBreakdown, EwaldParameters,
-                       evaluate_system, kinetic_pressure)
+                       evaluate_exact, evaluate_system, kinetic_pressure)
 from .kernel import (SplitKernel, background_correction, far_field,
                      far_field_hat, fn_weight, near_field,
                      pressure_kernel_hat, self_energy)
@@ -22,13 +22,13 @@ from .npt import (NptConfig, ThermoRecord, TrajectoryStatistics,
 from .oracle import (OracleReport, classical_ewald, direct_ksum,
                      fd_force_check, fd_pressure_check, make_report,
                      relative_deviation, virial_audit)
-from .pswf import (PswfBasis, WindowTable, build_pswf, eval_phi0, eval_psi0,
+from .pswf import (PswfBasis, WindowTable, build_pswf, eval_phi0,
                    solve_bandwidth, tabulate_window)
 from .realspace import PairTable, ShortRangeResult, build_pair_table, short_range
 from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
                      check_cutoff, minimum_image)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Cell", "CoulombSolver", "EnergyBreakdown", "EwaldParameters",
@@ -38,7 +38,7 @@ __all__ = [
     "TransformProvider", "WindowTable", "background_correction",
     "barostat_step", "build_cell_list", "build_pair_table", "build_pswf",
     "check_cutoff", "classical_ewald", "direct_ksum", "eval_phi0",
-    "eval_psi0", "evaluate_system", "far_field", "far_field_hat",
+    "evaluate_exact", "evaluate_system", "far_field", "far_field_hat",
     "fd_force_check", "fd_pressure_check", "fn_weight", "forward_density",
     "integrate", "kinetic_pressure", "local_pressure", "long_range_energy",
     "long_range_forces", "long_range_pressure", "make_report",

@@ -5,11 +5,15 @@ basis, the real-space pair table, the mesh plan, and the mode workspace
 once, then evaluates energy, forces, and pressure tensors for any particle
 configuration in that cell.  Rebinding to a rescaled cell (NPT) reuses the
 bases and pair table since the cutoff and bandwidths do not change.
+evaluate_exact replaces the mesh by the exact mode sum and the pair table
+by the closed-form near field; it runs on any cell, triclinic included.
+Both paths share one final assembly of the near, far, self, and background
+terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +21,9 @@ from .kernel import SplitKernel, background_correction, self_energy
 from .mesh import (GridSpec, ModeWorkspace, TransformProvider, forward_density,
                    local_pressure, long_range_energy, long_range_forces,
                    long_range_pressure, plan_grid)
+from .oracle import direct_ksum
 from .pswf import build_pswf, solve_bandwidth
-from .realspace import build_pair_table, short_range
+from .realspace import ShortRangeResult, build_pair_table, short_range
 from .system import Cell, ParticleSystem, build_cell_list, check_cutoff
 
 
@@ -114,10 +119,9 @@ class CoulombSolver:
     def evaluate(self, sys: ParticleSystem, want_forces: bool = True,
                  want_pressure: bool = True,
                  neighbors=None) -> EnergyBreakdown:
-        if not np.allclose(sys.cell.h, self.cell.h):
+        if not np.array_equal(sys.cell.h, self.cell.h):
             raise ParameterError("system cell differs from the solver's cell; "
                                  "call rebind_cell first")
-        pref = self.params.prefactor
         if neighbors is None:
             neighbors = build_cell_list(sys, self.params.r_c)
         sr = short_range(sys, self.kern, neighbors, table=self.pair_table)
@@ -125,24 +129,16 @@ class CoulombSolver:
         rho = forward_density(sys, self.spec, self.provider)
         u_far = long_range_energy(rho, self.kern, self.spec, sys.cell,
                                   modes=self.modes)
-        u_self = self_energy(self.kern, sys.charges)
-        u_cb, u_bb, p_corr = background_correction(
-            self.kern, sys.total_charge, sys.cell.volume)
-
-        out = EnergyBreakdown(u_near=pref * sr.energy, u_far=pref * u_far,
-                              u_self=pref * u_self,
-                              u_background=pref * (u_cb + u_bb),
-                              pair_count=sr.pair_count)
+        f_far = p_far = None
         if want_forces:
             f_far = long_range_forces(rho, sys, self.kern, self.spec, sys.cell,
                                       mode=self.params.force_mode,
                                       provider=self.provider, modes=self.modes)
-            out.forces = pref * (sr.forces + f_far)
         if want_pressure:
             p_far = long_range_pressure(rho, self.kern, self.spec, sys.cell,
                                         modes=self.modes)
-            out.pressure = pref * (sr.pressure + p_far + p_corr)
-        return out
+        return _assemble(sys, self.kern, self.params.prefactor, sr,
+                         u_far, f_far, p_far)
 
     def local_pressure(self, sys: ParticleSystem) -> np.ndarray:
         """Per-particle far-field pressure tensors (N x 3 x 3), prefactored."""
@@ -152,10 +148,54 @@ class CoulombSolver:
         return self.params.prefactor * tensors
 
 
+def _assemble(sys: ParticleSystem, kern: SplitKernel, pref: float,
+              sr: ShortRangeResult, u_far: float, f_far=None,
+              p_far=None) -> EnergyBreakdown:
+    """Add the self and background terms and apply the Coulomb prefactor.
+
+    Forces and pressure are filled only when their far-field part is given.
+    """
+    u_self = self_energy(kern, sys.charges)
+    u_cb, u_bb, p_corr = background_correction(kern, sys.total_charge,
+                                               sys.cell.volume)
+    out = EnergyBreakdown(u_near=pref * sr.energy, u_far=pref * u_far,
+                          u_self=pref * u_self,
+                          u_background=pref * (u_cb + u_bb),
+                          pair_count=sr.pair_count)
+    if f_far is not None:
+        out.forces = pref * (sr.forces + f_far)
+    if p_far is not None:
+        out.pressure = pref * (sr.pressure + p_far + p_corr)
+    return out
+
+
+def evaluate_exact(sys: ParticleSystem,
+                   params: EwaldParameters) -> EnergyBreakdown:
+    """Reference evaluation on any cell: no mesh and no tables.
+
+    The far field is the exact mode sum (``direct_ksum``) and the near field
+    the closed-form kernel; ``delta_split``, ``r_c`` and ``prefactor`` are
+    used, the mesh knobs are not.  Always fills forces and pressure.
+    Costs O(N * modes).
+    """
+    d_split = params.resolved()[0]
+    kern = SplitKernel(basis=build_pswf(solve_bandwidth(d_split)),
+                       r_c=params.r_c)
+    sr = short_range(sys, kern, build_cell_list(sys, params.r_c))
+    u_far, f_far, p_far = direct_ksum(sys, kern)
+    return _assemble(sys, kern, params.prefactor, sr, u_far, f_far, p_far)
+
+
 def evaluate_system(sys: ParticleSystem, params: EwaldParameters,
                     want_forces: bool = True,
                     want_pressure: bool = True) -> EnergyBreakdown:
-    """One-shot convenience wrapper for a single configuration."""
+    """One-shot convenience wrapper for a single configuration.
+
+    Orthorhombic cells use the mesh; any other cell goes to evaluate_exact,
+    since the mesh cannot run there, and gets forces and pressure always.
+    """
+    if not sys.cell.is_orthorhombic:
+        return evaluate_exact(sys, params)
     return CoulombSolver(sys.cell, params).evaluate(
         sys, want_forces=want_forces, want_pressure=want_pressure)
 

@@ -3,9 +3,9 @@
 1/r = near_field(r) + far_field(r), where the near field is compactly
 supported on (0, r_c] and vanishes at the cutoff, and the far field is
 smooth at the origin and band-limited in Fourier space to |k| <= c/r_c.
-Also provides the scalar radial force weight, the mode-by-mode pressure
-kernel, the self-energy, and uniform-background corrections for
-non-neutral systems.
+Also provides the scalar radial force weight, the mode-space kernel shared
+by the mesh and the exact mode sum, the self-energy, and uniform-background
+corrections for non-neutral systems.
 """
 
 from __future__ import annotations
@@ -65,18 +65,36 @@ def far_field(kern: SplitKernel, r):
     return float(out[0]) if scalar else out
 
 
+def mode_kernel(kern: SplitKernel, k2):
+    """Far-field transform and pressure-kernel derivative term per mode.
+
+    ``k2`` holds squared wavenumbers of in-band modes, 0 < |k| <= kmax; the
+    argument x = |k| r_c / c is clipped to 1 against roundoff at the band
+    edge.  Returns (fhat, dterm) with
+
+        fhat  = 2 pi lambda0/C0 * psi_0^c(x) / k^2
+        dterm = 2 pi lambda0/C0 * x psi_0^c'(x) / k^4,
+
+    so that the 3x3 pressure kernel of mode k is
+    fhat (delta_ab - 2 k_a k_b / k^2) + dterm k_a k_b.
+    """
+    b = kern.basis
+    x = np.clip(np.sqrt(k2) * kern.r_c / b.c, 0.0, 1.0)
+    pref = 2.0 * np.pi * b.lambda0 / b.C0
+    fhat = pref * b.psi_series(x) / k2
+    dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
+    return fhat, dterm
+
+
 def far_field_hat(kern: SplitKernel, k):
     """Radial Fourier transform of the far field; zero beyond kmax = c/r_c."""
     scalar = np.isscalar(k) or np.ndim(k) == 0
     ka = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(ka == 0.0):
         raise ZeroModeError("k = 0 is excluded (conducting boundary convention)")
-    b = kern.basis
-    x = ka * kern.r_c / b.c
     out = np.zeros_like(ka)
-    band = x <= 1.0
-    pref = 2.0 * np.pi * b.lambda0 / b.C0
-    out[band] = pref * b.psi_series(x[band]) / ka[band] ** 2
+    band = np.abs(ka) <= kern.kmax
+    out[band] = mode_kernel(kern, ka[band] ** 2)[0]
     return float(out[0]) if scalar else out
 
 
@@ -102,15 +120,10 @@ def pressure_kernel_hat(kern: SplitKernel, kvec) -> np.ndarray:
     k2 = float(kv @ kv)
     if k2 == 0.0:
         raise ZeroModeError("k = 0 is excluded from the pressure kernel")
-    k = np.sqrt(k2)
-    if k > kern.kmax:
+    if np.sqrt(k2) > kern.kmax:
         return np.zeros((3, 3))
-    b = kern.basis
-    x = min(k * kern.r_c / b.c, 1.0)
-    fhat = far_field_hat(kern, k)
+    fhat, dterm = mode_kernel(kern, k2)
     kk = np.outer(kv, kv)
-    pref = 2.0 * np.pi * b.lambda0 / b.C0
-    dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
     return fhat * (np.eye(3) - 2.0 * kk / k2) + dterm * kk
 
 

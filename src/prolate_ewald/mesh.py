@@ -13,11 +13,11 @@ exact for band-limited fields up to aliasing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import SplitKernel, ZeroModeError
+from .kernel import SplitKernel, mode_kernel
 from .pswf import PswfBasis, WindowTable, build_pswf, solve_bandwidth, tabulate_window
 from .system import Cell, ParticleSystem
 
@@ -245,17 +245,15 @@ class ModeWorkspace:
         ky = ks[1][None, :, None]
         kz = ks[2][None, None, :]
         k2 = kx**2 + ky**2 + kz**2
-        kmag = np.sqrt(k2)
-        mask = (kmag <= kern.kmax) & (k2 > 0.0)
+        mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         self.mask = mask
         self.kvec = [np.broadcast_to(kx, spec.M)[mask],
                      np.broadcast_to(ky, spec.M)[mask],
                      np.broadcast_to(kz, spec.M)[mask]]
         self.k2 = k2[mask]
-        kmag = kmag[mask]
 
         sb = spec.spread_basis
-        what = np.ones_like(kmag)
+        what = np.ones_like(self.k2)
         for d in range(3):
             arg = spec.omega[d] * self.kvec[d] / sb.c
             what *= spec.omega[d] * sb.lambda0 * sb.psi_series(np.clip(arg, -1, 1))
@@ -265,14 +263,7 @@ class ModeWorkspace:
                 "window transform underflow on a retained mode; the plan does "
                 "not cover the kernel band")
         self.w_inv2 = 1.0 / (what * what)
-
-        b = kern.basis
-        x = np.clip(kmag * kern.r_c / b.c, 0.0, 1.0)
-        pref = 2.0 * np.pi * b.lambda0 / b.C0
-        self.fhat = pref * b.psi_series(x) / self.k2
-        # Scalar pieces of the pressure kernel: fhat * (delta_ab - 2 ka kb / k2)
-        # + dterm * ka kb, with dterm = pref * x * psi'(x) / k2^2.
-        self.dterm = pref * x * b.psi_series(x, derivative=1) / self.k2**2
+        self.fhat, self.dterm = mode_kernel(kern, self.k2)
 
     def pressure_kernel_component(self, a: int, b: int) -> np.ndarray:
         kk = self.kvec[a] * self.kvec[b]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .kernel import SplitKernel, far_field_hat
+from .kernel import SplitKernel, mode_kernel
 from .system import Cell, ParticleSystem, minimum_image
 
 RELATIVE_FLOOR = 1e-300
@@ -83,8 +83,8 @@ def direct_ksum(sys: ParticleSystem, kern: SplitKernel):
     phase = kvecs @ sys.positions.T            # (K, N)
     ekr = np.exp(1j * phase)
     rho = (sys.charges[None, :] * ekr).sum(axis=1)
-    kmag = np.linalg.norm(kvecs, axis=1)
-    fhat = far_field_hat(kern, kmag)
+    k2 = np.einsum("ij,ij->i", kvecs, kvecs)
+    fhat, dterm = mode_kernel(kern, k2)
 
     amp2 = np.abs(rho) ** 2
     energy = float(np.sum(fhat * amp2) / (2.0 * V))
@@ -93,13 +93,9 @@ def direct_ksum(sys: ParticleSystem, kern: SplitKernel):
     im = np.imag(np.conj(ekr) * rho[:, None])  # (K, N)
     forces = -((fhat[:, None] * im).T @ kvecs) * sys.charges[:, None] / V
 
-    b = kern.basis
-    x = np.clip(kmag * kern.r_c / b.c, 0.0, 1.0)
-    pref = 2.0 * np.pi * b.lambda0 / b.C0
-    dterm = pref * x * b.psi_series(x, derivative=1) / kmag**4
     w = amp2 / (2.0 * V**2)
     pressure = np.zeros((3, 3))
-    kk_scale = (dterm - 2.0 * fhat / kmag**2) * w
+    kk_scale = (dterm - 2.0 * fhat / k2) * w
     pressure += np.einsum("k,ka,kb->ab", kk_scale, kvecs, kvecs)
     pressure += np.sum(fhat * w) * np.eye(3)
     pressure = 0.5 * (pressure + pressure.T)

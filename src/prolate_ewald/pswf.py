@@ -9,9 +9,9 @@ eigenproblem of the commuting differential operator
 whose eigenfunctions coincide with those of the finite Fourier integral
 operator.  Even and odd Legendre orders decouple; the order-zero function
 lives in the even block and corresponds to the smallest differential
-eigenvalue.  Piecewise-polynomial tables (Horner-evaluated) provide fast
-vectorized evaluation of psi_0^c, its derivative, and the rescaled
-spreading window.
+eigenvalue.  psi_0^c and its derivative are evaluated straight from the
+expansion; a piecewise-polynomial (Horner-evaluated) table serves the
+rescaled spreading window, which the mesh evaluates per particle.
 """
 
 from __future__ import annotations
@@ -107,26 +107,13 @@ def _build_table(fun, degree: int, n_intervals: int, lo: float, hi: float) -> PP
     return PPoly(coeffs, breaks, extrapolate=False)
 
 
-def _adaptive_table(fun, degree: int, tol: float, lo: float, hi: float,
-                    ref_scale: float) -> PPoly:
-    n_intervals = 8
-    for _ in range(10):
-        table = _build_table(fun, degree, n_intervals, lo, hi)
-        x = np.linspace(lo, hi, 4097)
-        err = np.max(np.abs(table(x) - fun(x))) / ref_scale
-        if err <= tol:
-            return table
-        n_intervals *= 2
-    raise PswfError(f"piecewise table did not reach tolerance {tol}")
-
-
 @dataclass(frozen=True)
 class PswfBasis:
     """Constructed order-zero prolate for one bandwidth.
 
     Fields mirror the quantities needed downstream: the Legendre expansion,
-    the integral-operator eigenvalue lambda0, psi_0^c(0), C0 = int_0^1 psi_0^c,
-    and Horner tables for the function and its derivative on [-1, 1].
+    the integral-operator eigenvalue lambda0, psi_0^c(0), and
+    C0 = int_0^1 psi_0^c.
     """
 
     c: float
@@ -134,10 +121,6 @@ class PswfBasis:
     lambda0: float
     psi0_at_zero: float
     C0: float
-    table_tol: float
-    table_degree: int
-    eval_table: PPoly
-    deriv_table: PPoly
     _cumint_coeffs: np.ndarray  # Legendre coefficients of int_0^x psi_0^c
 
     def psi_series(self, x, derivative: int = 0):
@@ -152,13 +135,10 @@ class PswfBasis:
         return npleg.legval(np.asarray(x, dtype=float), self._cumint_coeffs)
 
 
-def build_pswf(c: float, table_tol: float = DEFAULT_TABLE_TOL,
-               table_degree: int = DEFAULT_TABLE_DEGREE) -> PswfBasis:
+def build_pswf(c: float) -> PswfBasis:
     """Construct the order-zero prolate basis for bandwidth ``c``."""
     if not (BANDWIDTH_MIN <= c <= BANDWIDTH_MAX):
         raise PswfError(f"bandwidth c={c} outside [{BANDWIDTH_MIN}, {BANDWIDTH_MAX}]")
-    if not (1e-15 <= table_tol <= 1e-6):
-        raise PswfError(f"table_tol={table_tol} outside [1e-15, 1e-6]")
 
     coef = _legendre_coefficients(c)
     psi0_0 = float(npleg.legval(0.0, coef))
@@ -169,41 +149,14 @@ def build_pswf(c: float, table_tol: float = DEFAULT_TABLE_TOL,
     C0 = float(0.5 * np.sum(weights * npleg.legval(x01, coef)))
     lambda0 = 2.0 * C0 / psi0_0
 
-    cumint = npleg.legint(coef, lbnd=0.0)
-    dcoef = npleg.legder(coef)
-
-    val = lambda x: npleg.legval(x, coef)
-    dval = lambda x: npleg.legval(x, dcoef)
-    eval_table = _adaptive_table(val, table_degree, table_tol, -1.0, 1.0, psi0_0)
-    deriv_scale = float(np.max(np.abs(dval(np.linspace(-1, 1, 513)))))
-    deriv_table = _adaptive_table(dval, table_degree, table_tol, -1.0, 1.0,
-                                  max(deriv_scale, 1.0))
-
     return PswfBasis(
         c=float(c),
         legendre_coeffs=coef,
         lambda0=lambda0,
         psi0_at_zero=psi0_0,
         C0=C0,
-        table_tol=float(table_tol),
-        table_degree=int(table_degree),
-        eval_table=eval_table,
-        deriv_table=deriv_table,
-        _cumint_coeffs=cumint,
+        _cumint_coeffs=npleg.legint(coef, lbnd=0.0),
     )
-
-
-def eval_psi0(basis: PswfBasis, x, derivative: int = 0):
-    """Table evaluation of psi_0^c or its first derivative on [-1, 1]."""
-    if derivative not in (0, 1):
-        raise PswfError(f"derivative order {derivative} not supported")
-    xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > 1.0 + 1e-12):
-        raise DomainError("eval_psi0 argument outside [-1, 1]")
-    xa = np.clip(xa, -1.0, 1.0)
-    table = basis.deriv_table if derivative else basis.eval_table
-    out = table(xa)
-    return out if out.ndim else float(out)
 
 
 def eval_phi0(basis: PswfBasis, r, r_c: float):

@@ -93,15 +93,25 @@ class ParticleSystem:
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         if pos.shape[0] < 1 or pos.shape[1] != 3:
             raise CellError("positions must be an N x 3 array with N >= 1")
+        n = pos.shape[0]
         q = np.asarray(self.charges, dtype=float).reshape(-1)
-        if q.size != pos.shape[0]:
+        if q.size != n:
             raise CellError("charges length must match particle count")
         m = self.masses
-        m = np.ones(q.size) if m is None else np.asarray(m, dtype=float).reshape(-1)
+        m = np.ones(n) if m is None else np.asarray(m, dtype=float).reshape(-1)
+        if m.size != n:
+            raise CellError("masses length must match particle count")
         if np.any(m <= 0.0):
             raise CellError("masses must be strictly positive")
         p = self.momenta
-        p = np.zeros_like(pos) if p is None else np.asarray(p, dtype=float).reshape(-1, 3)
+        p = np.zeros_like(pos) if p is None else np.asarray(p, dtype=float)
+        if p.size != 3 * n:
+            raise CellError("momenta must be an N x 3 array")
+        p = p.reshape(n, 3)
+        for name, arr in (("positions", pos), ("charges", q), ("masses", m),
+                          ("momenta", p)):
+            if not np.isfinite(arr).all():
+                raise CellError(f"{name} must be finite")
         object.__setattr__(self, "positions", self.cell.wrap(pos))
         object.__setattr__(self, "charges", q)
         object.__setattr__(self, "masses", m)

@@ -26,12 +26,11 @@ from prolate_ewald import (
     build_cell_list,
     classical_ewald,
     direct_ksum,
-    eval_psi0,
+    evaluate_exact,
     far_field,
     fd_pressure_check,
     integrate,
     near_field,
-    self_energy,
     short_range,
     solve_bandwidth,
     virial_audit,
@@ -61,16 +60,6 @@ def order_for(delta):
     return int(np.ceil(-np.log10(delta))) + 1
 
 
-def reference_terms(sys, kern, r_c):
-    """Independent total energy/forces/pressure: real-space pair sum plus
-    the exact (gridless) mode sum, plus the self term."""
-    e_d, f_d, p_d = direct_ksum(sys, kern)
-    neighbors = build_cell_list(sys, r_c)
-    sr = short_range(sys, kern, neighbors)
-    energy = sr.energy + e_d + self_energy(kern, sys.charges)
-    return energy, sr, (f_d, p_d)
-
-
 def rel(err_value, ref_value):
     return np.linalg.norm(err_value) / np.linalg.norm(ref_value)
 
@@ -92,13 +81,14 @@ def ensemble_runs():
                                      oversampling=2.0)
             solver = CoulombSolver(sys.cell, params)
             out = solver.evaluate(sys)
-            e_ref, sr, (f_d, p_d) = reference_terms(sys, solver.kern, R_CUT)
+            ref = evaluate_exact(sys, params)
+            sr = short_range(sys, solver.kern, build_cell_list(sys, R_CUT))
             rows.append({
                 "sys": sys,
                 "out": out,
-                "e_ref": e_ref,
-                "f_ref": sr.forces + f_d,
-                "p_ref": sr.pressure + p_d,
+                "e_ref": ref.energy,
+                "f_ref": ref.forces,
+                "p_ref": ref.pressure,
                 "p_near": sr.pressure,
             })
         table[delta] = rows
@@ -138,13 +128,13 @@ def test_prolate_self_consistency(delta):
     for x in np.linspace(-1.0, 1.0, 20):
         integral = np.sum(weights * psi_t * np.exp(1j * b.c * x * nodes))
         assert abs(integral.imag) < 1e-12
-        assert abs(integral.real - b.lambda0 * eval_psi0(b, x)) <= 1e-9
+        assert abs(integral.real - b.lambda0 * b.psi_series(x)) <= 1e-9
     # x-derivative of the same relation
     for x in np.linspace(-0.95, 0.95, 10):
         integral = np.sum(weights * psi_t * 1j * b.c * nodes
                           * np.exp(1j * b.c * x * nodes))
         assert abs(integral.real
-                   - b.lambda0 * eval_psi0(b, x, derivative=1)) <= 1e-9
+                   - b.lambda0 * b.psi_series(x, derivative=1)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +252,12 @@ def test_pressure_is_cell_derivative_triclinic():
 # ---------------------------------------------------------------------------
 # 7. spectral convergence in grid size and spreading order
 
-def convergence_reference(sys, kern, r_c):
-    _, sr, (_, p_d) = reference_terms(sys, kern, r_c)
-    return sr.pressure + p_d
-
-
 def test_grid_and_order_convergence(capsys):
     sys = random_neutral_system(100, CUBE, 777)
     r_c = 2.4
     delta = 1e-6
-    base = CoulombSolver(sys.cell, EwaldParameters(
-        r_c=r_c, delta_split=delta, oversampling=2.0))
-    p_ref = convergence_reference(sys, base.kern, r_c)
+    p_ref = evaluate_exact(sys, EwaldParameters(
+        r_c=r_c, delta_split=delta)).pressure
     p_norm = np.linalg.norm(p_ref)
 
     grid_errors = []

@@ -1,7 +1,10 @@
 """Command-line surface: file formats, config resolution, subcommands."""
 
+import importlib.util
+import io
 import subprocess
 import sys as _sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from prolate_ewald.cli import (InputError, TuningError, main, read_config,
                                tune_parameters, write_particles)
 from prolate_ewald.system import Cell, ParticleSystem
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 # Classical-Ewald reference for fixtures/pair.txt (unit charges 1.6 apart
 # in a 6.0 cube), frozen from an independent oracle run with internal
@@ -23,8 +27,6 @@ CLUSTER64_ENERGY = -31.932532533581163
 
 
 def run_cli(*argv):
-    import io
-    from contextlib import redirect_stdout
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
@@ -99,6 +101,13 @@ class TestParticleFiles:
         with pytest.raises(InputError, match="5 columns"):
             read_particles(path)
 
+    def test_nan_coordinate_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("cell 5 5 5\n1 nan 3 1.0 1.0\n2 2 2 -1.0 1.0\n")
+        code, _ = run_cli("compute", "--input", str(path))
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestConfig:
     def test_read_config(self, tmp_path):
@@ -112,6 +121,14 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("mystery_knob = 3\n")
         with pytest.raises(InputError, match="mystery_knob"):
+            read_config(path)
+
+    @pytest.mark.parametrize("key, value", [("threads", "2"),
+                                            ("coupling", "isotropic")])
+    def test_removed_keys_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(InputError, match="unknown config key"):
             read_config(path)
 
     def test_precedence(self, tmp_path):
@@ -145,7 +162,7 @@ class TestTune:
     def test_force_spacing_example(self):
         code, text = run_cli("tune", "--quantity", "force",
                              "--target", "4e-4", "--cell", "3,3,3",
-                             "--r-c", "0.9")
+                             "--r-c", "0.9", "--oversampling", "1")
         assert code == 0
         rec = parse_records(text)
         assert int(rec["tune"][5][1]) == 5          # P row
@@ -153,6 +170,52 @@ class TestTune:
         grid = int(rec["tune"][7][1])
         increment = 3.0 / grid - 3.0 / (grid + 2)
         assert abs(spacing - 0.26) <= increment
+
+    @pytest.mark.parametrize("extra, grid, over", [
+        ((), "44", "2"),                       # calibrated oversampling
+        (("--oversampling", "1"), "22", "1"),  # explicit flag wins
+    ])
+    def test_grid_planned_at_calibrated_oversampling(self, extra, grid, over):
+        code, text = run_cli("tune", "--quantity", "diag-pressure",
+                             "--target", "3e-6",
+                             "--cell", "7.937,7.937,7.937", "--r-c", "2.0",
+                             *extra)
+        assert code == 0
+        rec = {r[0]: r[1:] for r in parse_records(text)["tune"]}
+        assert rec["grid"] == [grid] * 3
+        assert rec["oversampling"] == [over]
+        assert f"# config oversampling = {over}" in text
+
+    def test_config_file_oversampling_wins(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("oversampling = 1.5\n")
+        code, text = run_cli("tune", "--quantity", "force", "--target",
+                             "1e-4", "--config", str(path))
+        assert code == 0
+        assert parse_records(text)["tune"][-1] == ["oversampling", "1.5"]
+
+    def test_calibration_data_reproduced(self):
+        # The tune anchors rest on data/tune_calibration.txt; rerun the sweep
+        # that wrote it and require every row to agree within 1%.
+        spec = importlib.util.spec_from_file_location(
+            "calibrate_tune", ROOT / "tools" / "calibrate_tune.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            tool.main()
+
+        def rows(text):
+            return [line.split() for line in text.splitlines()
+                    if line and not line.startswith("#")]
+
+        fresh = rows(buf.getvalue())
+        stored = rows((ROOT / "data" / "tune_calibration.txt").read_text())
+        assert len(fresh) == len(stored) == 15
+        for new, old in zip(fresh, stored):
+            assert new[:2] == old[:2]
+            for a, b in zip(new[2:], old[2:]):
+                assert float(a) == pytest.approx(float(b), rel=1e-2), (new, old)
 
     def test_target_out_of_range(self):
         with pytest.raises(TuningError):

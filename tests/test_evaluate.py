@@ -1,0 +1,72 @@
+"""Evaluation paths: the mesh solver, the exact path, and their routing."""
+
+import numpy as np
+import pytest
+
+from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
+                           ParticleSystem, evaluate_exact, evaluate_system)
+from prolate_ewald.evaluate import ParameterError
+from prolate_ewald.mesh import PlanningError
+
+from conftest import random_neutral_system
+
+
+def triclinic_system():
+    rng = np.random.default_rng(21)
+    h = np.diag([6.0, 6.2, 6.4])
+    h[0, 1], h[0, 2], h[1, 2] = 0.3, 0.2, -0.25
+    q = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
+    q[0] += 0.5                          # non-neutral: background terms on
+    return ParticleSystem(cell=Cell(h=h),
+                          positions=rng.uniform(0, 1, (16, 3)) @ h.T,
+                          charges=q)
+
+
+class TestCellCheck:
+    def test_rescaled_cell_rejected(self):
+        sys = random_neutral_system(16, (6.0, 6.0, 6.0), seed=1)
+        solver = CoulombSolver(sys.cell, EwaldParameters(r_c=2.0,
+                                                         delta_split=1e-4))
+        moved = Cell(h=sys.cell.h * (1.0 + 5e-6))
+        probe = ParticleSystem(cell=moved, positions=sys.positions,
+                               charges=sys.charges)
+        with pytest.raises(ParameterError, match="rebind_cell"):
+            solver.evaluate(probe)
+        solver.rebind_cell(moved)
+        assert np.isfinite(solver.evaluate(probe).energy)
+
+    def test_equal_cell_accepted(self):
+        sys = random_neutral_system(16, (6.0, 6.0, 6.0), seed=1)
+        solver = CoulombSolver(Cell.orthorhombic((6.0, 6.0, 6.0)),
+                               EwaldParameters(r_c=2.0, delta_split=1e-4))
+        assert np.isfinite(solver.evaluate(sys).energy)
+
+
+class TestExactPath:
+    def test_mesh_agrees_with_exact(self):
+        sys = random_neutral_system(32, (6.0, 6.2, 6.4), seed=4)
+        q = sys.charges.copy()
+        q[0] += 0.7
+        sys = ParticleSystem(cell=sys.cell, positions=sys.positions,
+                             charges=q)
+        params = EwaldParameters(r_c=2.5, delta_split=1e-6, oversampling=2.0,
+                                 prefactor=1.7)
+        mesh = evaluate_system(sys, params)
+        exact = evaluate_exact(sys, params)
+        assert exact.u_self == mesh.u_self
+        assert exact.u_background == mesh.u_background != 0.0
+        assert exact.energy == pytest.approx(mesh.energy, rel=1e-6)
+        np.testing.assert_allclose(exact.forces, mesh.forces,
+                                   atol=1e-5 * np.abs(exact.forces).max())
+        np.testing.assert_allclose(exact.pressure, mesh.pressure,
+                                   atol=1e-5 * np.abs(exact.pressure).max())
+
+    def test_triclinic_routed_to_exact(self):
+        sys = triclinic_system()
+        params = EwaldParameters(r_c=2.5, delta_split=1e-6)
+        routed = evaluate_system(sys, params, want_forces=False)
+        exact = evaluate_exact(sys, params)
+        assert routed.energy == exact.energy
+        np.testing.assert_array_equal(routed.pressure, exact.pressure)
+        with pytest.raises(PlanningError, match="orthorhombic"):
+            CoulombSolver(sys.cell, params)

@@ -7,8 +7,7 @@ from numpy.polynomial import legendre as npleg
 from scipy.integrate import quad
 
 from prolate_ewald.pswf import (DomainError, PswfError, build_pswf,
-                                eval_phi0, eval_psi0, solve_bandwidth,
-                                tabulate_window)
+                                eval_phi0, solve_bandwidth, tabulate_window)
 from conftest import basis_for
 
 
@@ -40,8 +39,8 @@ def quadrature_eigensolve(c, n_nodes=400):
 class TestBuildPswf:
     def test_even_parity(self, basis_c10):
         xs = np.linspace(0.0, 1.0, 37)
-        left = eval_psi0(basis_c10, -xs)
-        right = eval_psi0(basis_c10, xs)
+        left = basis_c10.psi_series(-xs)
+        right = basis_c10.psi_series(xs)
         np.testing.assert_allclose(left, right, rtol=0, atol=1e-13)
 
     def test_lambda0_identity(self, basis_c10):
@@ -56,7 +55,7 @@ class TestBuildPswf:
 
     def test_positive_and_decreasing_on_unit_interval(self, basis_c10):
         xs = np.linspace(0.0, 1.0, 500)
-        vals = eval_psi0(basis_c10, xs)
+        vals = basis_c10.psi_series(xs)
         assert np.all(vals > 0.0)
         assert np.all(np.diff(vals) < 0.0)
 
@@ -64,7 +63,7 @@ class TestBuildPswf:
         lam, psi = quadrature_eigensolve(10.0)
         assert abs(lam - basis_c10.lambda0) <= 1e-10 * abs(lam)
         ref = psi(0.5)
-        val = eval_psi0(basis_c10, 0.5)
+        val = basis_c10.psi_series(0.5)
         assert abs(val - ref) <= 1e-10 * abs(ref)
 
     def test_eigen_relation_by_quadrature(self, basis_c10):
@@ -75,7 +74,7 @@ class TestBuildPswf:
         for x in np.linspace(-1.0, 1.0, 20):
             integral = np.sum(weights * psi_t * np.exp(1j * b.c * x * nodes))
             assert abs(integral.imag) < 1e-12
-            assert abs(integral.real - b.lambda0 * eval_psi0(b, x)) < 1e-9
+            assert abs(integral.real - b.lambda0 * b.psi_series(x)) < 1e-9
 
     def test_derivative_relation_by_quadrature(self, basis_c10):
         # lambda0 psi'(x) = -c int psi(t) t sin(c x t) dt (odd part only).
@@ -85,14 +84,7 @@ class TestBuildPswf:
         for x in np.linspace(-0.9, 0.9, 10):
             integral = -b.c * np.sum(weights * psi_t * nodes
                                      * np.sin(b.c * x * nodes))
-            assert abs(integral - b.lambda0 * eval_psi0(b, x, derivative=1)) < 1e-9
-
-    def test_table_matches_series(self, basis_c10):
-        rng = np.random.default_rng(0)
-        xs = rng.uniform(-1.0, 1.0, 10_000)
-        table = eval_psi0(basis_c10, xs)
-        series = basis_c10.psi_series(xs)
-        assert np.max(np.abs(table - series)) <= basis_c10.table_tol * 10
+            assert abs(integral - b.lambda0 * b.psi_series(x, derivative=1)) < 1e-9
 
     def test_bandwidth_out_of_range(self):
         with pytest.raises(PswfError):
@@ -102,29 +94,27 @@ class TestBuildPswf:
 
 
 class TestEvalPsi0:
+    """Point evaluation of psi_0^c and its derivative via psi_series."""
+
     def test_derivative_zero_at_origin(self, basis_c10):
-        assert eval_psi0(basis_c10, 0.0, derivative=1) == pytest.approx(0.0, abs=1e-13)
+        assert basis_c10.psi_series(0.0, derivative=1) == pytest.approx(0.0, abs=1e-13)
 
     def test_endpoint_matches_legendre_expansion(self, basis_c10):
         direct = npleg.legval(1.0, basis_c10.legendre_coeffs)
-        assert abs(eval_psi0(basis_c10, 1.0) - direct) <= 1e-12
+        assert abs(basis_c10.psi_series(1.0) - direct) <= 1e-12
 
     def test_derivative_matches_finite_difference(self, basis_c10):
         step = 1e-5
         for x in np.linspace(-0.9, 0.9, 15):
-            fd = (eval_psi0(basis_c10, x + step)
-                  - eval_psi0(basis_c10, x - step)) / (2 * step)
-            assert abs(eval_psi0(basis_c10, x, derivative=1) - fd) < 1e-8
-
-    def test_domain_error(self, basis_c10):
-        with pytest.raises(DomainError):
-            eval_psi0(basis_c10, 1.5)
+            fd = (basis_c10.psi_series(x + step)
+                  - basis_c10.psi_series(x - step)) / (2 * step)
+            assert abs(basis_c10.psi_series(x, derivative=1) - fd) < 1e-8
 
 
 class TestSolveBandwidth:
     def test_round_trip(self):
         b = basis_for(c=16.0)
-        delta = eval_psi0(b, 1.0)
+        delta = b.psi_series(1.0)
         assert solve_bandwidth(delta) == pytest.approx(16.0, rel=1e-6)
 
     def test_monotone_and_log_scaling(self):
@@ -140,7 +130,7 @@ class TestSolveBandwidth:
         lo, hi = 0.5, 80.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            val = eval_psi0(build_pswf(mid), 1.0)
+            val = build_pswf(mid).psi_series(1.0)
             if val > delta:
                 lo = mid
             else:
@@ -187,7 +177,7 @@ class TestTabulateWindow:
 
     def test_center_value(self, basis_c10):
         w = tabulate_window(basis_c10, 5)
-        assert w(0.0) == pytest.approx(eval_psi0(basis_c10, 0.0), abs=1e-13)
+        assert w(0.0) == pytest.approx(basis_c10.psi_series(0.0), abs=1e-13)
 
     def test_matches_rescaled_psi(self, basis_c10):
         w = tabulate_window(basis_c10, 7)

@@ -113,6 +113,29 @@ class TestParticleSystem:
             ParticleSystem(cell=cell, positions=[[1, 1, 1]], charges=[1.0],
                            masses=[0.0])
 
+    @pytest.mark.parametrize("field, value", [
+        ("masses", np.ones(3)),
+        ("momenta", np.zeros((3, 3))),
+        ("momenta", np.zeros(25)),
+    ])
+    def test_length_validation(self, field, value):
+        cell = Cell.orthorhombic([4.0, 4.0, 4.0])
+        pos = np.random.default_rng(0).uniform(0, 4, (8, 3))
+        with pytest.raises(CellError, match=field):
+            ParticleSystem(cell=cell, positions=pos, charges=np.ones(8),
+                           **{field: value})
+
+    @pytest.mark.parametrize("field", ["positions", "charges", "masses",
+                                       "momenta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        cell = Cell.orthorhombic([4.0, 4.0, 4.0])
+        arrays = {"positions": np.full((4, 3), 1.0), "charges": np.ones(4),
+                  "masses": np.ones(4), "momenta": np.zeros((4, 3))}
+        arrays[field].reshape(-1)[1] = bad
+        with pytest.raises(CellError, match=field):
+            ParticleSystem(cell=cell, **arrays)
+
     def test_single_particle_allowed(self):
         cell = Cell.orthorhombic([4.0, 4.0, 4.0])
         sys = ParticleSystem(cell=cell, positions=[[1, 1, 1]], charges=[0.5])

@@ -18,9 +18,8 @@ Usage: python3 tools/calibrate_tune.py > data/tune_calibration.txt
 
 import numpy as np
 
-from prolate_ewald import (CoulombSolver, EwaldParameters, build_cell_list,
-                           direct_ksum, short_range)
-from prolate_ewald.system import Cell, ParticleSystem
+from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
+                           ParticleSystem, evaluate_exact)
 
 DELTAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 R_CUT = 0.9
@@ -51,10 +50,8 @@ def main():
                                      oversampling=2.0)
             solver = CoulombSolver(sys.cell, params)
             out = solver.evaluate(sys)
-            e_d, f_d, p_d = direct_ksum(sys, solver.kern)
-            sr = short_range(sys, solver.kern, build_cell_list(sys, R_CUT))
-            f_ref = sr.forces + f_d
-            p_ref = sr.pressure + p_d
+            ref = evaluate_exact(sys, params)
+            f_ref, p_ref = ref.forces, ref.pressure
             dp = out.pressure - p_ref
             errs["force"].append(np.linalg.norm(out.forces - f_ref)
                                  / np.linalg.norm(f_ref))
