@@ -16,6 +16,7 @@ import numpy as np
 
 from .evaluate import CoulombSolver, EwaldParameters, kinetic_pressure
 from .mesh import PlanningError
+from .realspace import _add_pair_forces
 from .system import Cell, ParticleSystem, build_cell_list, minimum_image
 
 KB_DEFAULT = 1.0
@@ -79,6 +80,8 @@ class NptState:
     system: ParticleSystem
     solver: CoulombSolver
     log_volume_reference: float = 0.0
+    full_replans: int = 0        # barostat rebinds that re-planned grid counts
+    replan_fallbacks: int = 0    # of those, taken after the pinned grid failed
 
 
 def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
@@ -102,10 +105,8 @@ def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
     shift = coeff / cutoff**12
     energy = float(np.sum(inv12 - shift))
     fmag = 12.0 * inv12 / r2
-    pair_force = fmag[:, None] * dr
     forces = np.zeros((n, 3))
-    np.add.at(forces, ii, pair_force)
-    np.add.at(forces, jj, -pair_force)
+    _add_pair_forces(forces, ii, jj, fmag, dr)
     pressure = (dr.T * fmag) @ dr / sys.cell.volume
     return energy, forces, 0.5 * (pressure + pressure.T)
 
@@ -167,18 +168,18 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
     # threshold; in between the counts stay pinned and only the spacings
     # and mode workspace track the cell.
     drifted = abs(np.log(new_volume) - state.log_volume_reference)
-    if drifted > cfg.replan_fraction:
-        state.solver.rebind_cell(new_cell)
-        state.log_volume_reference = float(np.log(new_volume))
-    else:
+    if drifted <= cfg.replan_fraction:
         try:
             state.solver.rebind_cell(new_cell, fixed_M=state.solver.spec.M)
+            return state
         except PlanningError:
-            # Compression can push the pinned grid below the Nyquist bound
+            # Expansion can push the pinned grid below the Nyquist bound
             # when the plan started with no spare resolution; fall back to a
             # full replan instead of aborting the trajectory.
-            state.solver.rebind_cell(new_cell)
-            state.log_volume_reference = float(np.log(new_volume))
+            state.replan_fallbacks += 1
+    state.solver.rebind_cell(new_cell)
+    state.log_volume_reference = float(np.log(new_volume))
+    state.full_replans += 1
     return state
 
 
@@ -191,6 +192,8 @@ class TrajectoryStatistics:
     stderr_volume: float
     mean_temperature: float
     n_samples: int
+    full_replans: int
+    replan_fallbacks: int
 
 
 def _mean_stderr(values: np.ndarray, n_blocks: int = 20):
@@ -283,4 +286,6 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     return TrajectoryStatistics(records=records, mean_pressure=mp,
                                 stderr_pressure=sp, mean_volume=mv,
                                 stderr_volume=sv, mean_temperature=mt,
-                                n_samples=len(kept))
+                                n_samples=len(kept),
+                                full_replans=state.full_replans,
+                                replan_fallbacks=state.replan_fallbacks)

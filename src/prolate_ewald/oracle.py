@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .kernel import SplitKernel, mode_kernel
-from .system import Cell, ParticleSystem, minimum_image
+from .system import Cell, ParticleSystem, chunk_length, minimum_image
 
 RELATIVE_FLOOR = 1e-300
 
@@ -80,18 +80,24 @@ def direct_ksum(sys: ParticleSystem, kern: SplitKernel):
     V = sys.cell.volume
     if kvecs.size == 0:
         return 0.0, np.zeros((sys.n, 3)), np.zeros((3, 3))
-    phase = kvecs @ sys.positions.T            # (K, N)
-    ekr = np.exp(1j * phase)
-    rho = (sys.charges[None, :] * ekr).sum(axis=1)
     k2 = np.einsum("ij,ij->i", kvecs, kvecs)
     fhat, dterm = mode_kernel(kern, k2)
 
-    amp2 = np.abs(rho) ** 2
+    # Modes go through in chunks so the (modes x N) arrays stay
+    # O(chunk_length(N)) elements.
+    amp2 = np.empty(k2.size)
+    force_sum = np.zeros((sys.n, 3))
+    step = max(1, chunk_length(sys.n) // sys.n)
+    for s in range(0, k2.size, step):
+        k = kvecs[s:s + step]
+        ekr = np.exp(1j * (k @ sys.positions.T))   # (chunk, N)
+        rho = (sys.charges[None, :] * ekr).sum(axis=1)
+        amp2[s:s + step] = np.abs(rho) ** 2
+        # F_i = -(q_i / V) sum_k fhat k Im[exp(-i k r_i) rho(k)]
+        im = np.imag(np.conj(ekr) * rho[:, None])
+        force_sum += (fhat[s:s + step, None] * im).T @ k
     energy = float(np.sum(fhat * amp2) / (2.0 * V))
-
-    # F_i = -(q_i / V) sum_k fhat k Im[exp(-i k r_i) rho(k)]
-    im = np.imag(np.conj(ekr) * rho[:, None])  # (K, N)
-    forces = -((fhat[:, None] * im).T @ kvecs) * sys.charges[:, None] / V
+    forces = -force_sum * sys.charges[:, None] / V
 
     w = amp2 / (2.0 * V**2)
     pressure = np.zeros((3, 3))

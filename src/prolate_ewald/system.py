@@ -132,7 +132,11 @@ class ParticleSystem:
 
 @dataclass(frozen=True)
 class NeighborList:
-    """Unordered unique pairs (i < j) with minimum-image distance <= r_c + skin."""
+    """Pairs with minimum-image distance <= r_c + skin.
+
+    Each unordered pair appears once, with i < j, in an order that is
+    deterministic for a given input but not sorted.
+    """
 
     i: np.ndarray
     j: np.ndarray
@@ -142,6 +146,15 @@ class NeighborList:
     @property
     def n_pairs(self) -> int:
         return self.i.size
+
+
+def chunk_length(n: int) -> int:
+    """Items per chunk of a pass over the pairs or modes of N particles.
+
+    At least N, so that O(N) work per chunk (a bincount over particles)
+    stays O(chunk), and at least 2**15, so that per-chunk overhead stays small.
+    """
+    return max(2**15, n)
 
 
 def check_cutoff(cell: Cell, r_c: float) -> None:
@@ -166,14 +179,8 @@ def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> Neigh
         pos = np.minimum(sys.positions, np.nextafter(lengths, 0.0))
         tree = cKDTree(np.maximum(pos, 0.0), boxsize=lengths)
         pairs = tree.query_pairs(reach, output_type="ndarray")
-        if pairs.size:
-            i = np.minimum(pairs[:, 0], pairs[:, 1])
-            j = np.maximum(pairs[:, 0], pairs[:, 1])
-            order = np.lexsort((j, i))
-            i, j = i[order], j[order]
-        else:
-            i = j = np.empty(0, dtype=int)
-        return NeighborList(i=i, j=j, r_c=float(r_c), skin=float(skin))
+        return NeighborList(i=pairs[:, 0], j=pairs[:, 1], r_c=float(r_c),
+                            skin=float(skin))
 
     widths = sys.cell.perpendicular_widths()
     nbins = np.maximum(np.floor(widths / reach).astype(int), 1)
@@ -225,8 +232,6 @@ def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> Neigh
     if pairs_i:
         i = np.concatenate(pairs_i)
         j = np.concatenate(pairs_j)
-        order = np.lexsort((j, i))
-        i, j = i[order], j[order]
     else:
         i = j = np.empty(0, dtype=int)
     return NeighborList(i=i, j=j, r_c=float(r_c), skin=float(skin))

@@ -8,7 +8,7 @@ from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
                                ThermoRecord, barostat_step, integrate,
                                kinetic_temperature, maxwell_boltzmann_momenta,
                                softcore_interactions)
-from prolate_ewald.system import Cell, ParticleSystem
+from prolate_ewald.system import Cell, ParticleSystem, minimum_image
 
 
 def toy_system(n=32, L=8.0, seed=0, spacing=1.0):
@@ -86,6 +86,30 @@ class TestSoftcore:
         sys = toy_system(n=27, L=4.0, seed=1)
         _, _, p = softcore_interactions(sys, 1.0, 1.4)
         assert np.trace(p) > 0.0
+
+    def test_many_particles_match_all_pairs(self):
+        # Each particle has several neighbours, so forces accumulate over
+        # repeated indices; the reference adds them one pair at a time.
+        A, c = 1.5, 1.6
+        sys = toy_system(n=216, L=7.5, seed=2)
+        e, f, p = softcore_interactions(sys, A, c)
+        e_ref, f_ref, virial = 0.0, np.zeros((sys.n, 3)), np.zeros((3, 3))
+        for a in range(sys.n - 1):
+            for b in range(a + 1, sys.n):
+                dr = minimum_image(sys.cell, sys.positions[a] - sys.positions[b])
+                r2 = float(dr @ dr)
+                if r2 > c * c:
+                    continue
+                e_ref += A / r2**6 - A / c**12
+                pair = 12.0 * A / r2**7 * dr
+                f_ref[a] += pair
+                f_ref[b] -= pair
+                virial += np.outer(dr, pair)
+        scale = np.abs(f_ref).max()
+        assert e == pytest.approx(e_ref, rel=1e-12)
+        np.testing.assert_allclose(f, f_ref, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(p, virial / sys.cell.volume, rtol=1e-12)
+        np.testing.assert_allclose(f.sum(axis=0), 0.0, atol=1e-12 * scale)
 
 
 class TestMomenta:
@@ -222,6 +246,19 @@ class TestIntegrate:
         # target_P0 = 0 makes the recorded enthalpy the total energy.
         e = np.array([r.enthalpy for r in stats.records])
         assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-4
+
+    def test_replan_fallback_counted(self):
+        # M = kmax L / pi to roundoff leaves the plan no spare resolution,
+        # so the first expansion breaks Nyquist on the pinned grid;
+        # replan_fraction 1.0 rules out a drift replan.
+        cfg = toy_config(n_steps=3, barostat=True, barostat_noise=False,
+                         target_P0=-100.0, replan_fraction=1.0)
+        kmax = CoulombSolver(Cell.orthorhombic([8.0] * 3), cfg.ewald).kern.kmax
+        L = 12 * np.pi / kmax * (1 - 1e-13)
+        stats = integrate(cfg, toy_system(n=8, L=L, seed=3))
+        assert stats.records[-1].volume > stats.records[0].volume
+        assert stats.replan_fallbacks >= 1
+        assert stats.full_replans >= stats.replan_fallbacks
 
     def test_statistics_shape(self):
         cfg = toy_config(n_steps=30, thermostat_period=5, barostat=True,

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from prolate_ewald.kernel import SplitKernel, fn_weight, near_field
-from prolate_ewald.realspace import (PairTable, RealspaceError,
-                                     SingularPairError, build_pair_table,
+from prolate_ewald.realspace import (SingularPairError, build_pair_table,
                                      short_range)
 from prolate_ewald.system import (Cell, NeighborList, ParticleSystem,
-                                  build_cell_list, minimum_image)
+                                  build_cell_list, chunk_length,
+                                  minimum_image)
 
 from conftest import basis_for, kernel_for, random_neutral_system
 
@@ -50,6 +50,34 @@ def images_reference(sys, kern):
     return energy, forces, pressure / sys.cell.volume
 
 
+def dense_reference(sys, kern):
+    """All-pairs minimum-image near-field sum with the closed-form kernel."""
+    energy = 0.0
+    forces = np.zeros((sys.n, 3))
+    virial = np.zeros((3, 3))
+    for a in range(sys.n - 1):
+        dr = minimum_image(sys.cell, sys.positions[a] - sys.positions[a + 1:])
+        r = np.linalg.norm(dr, axis=1)
+        near = np.flatnonzero(r <= kern.r_c)
+        dr, r = dr[near], r[near]
+        qq = sys.charges[a] * sys.charges[a + 1 + near]
+        energy += np.sum(qq * near_field(kern, r))
+        f = (qq * fn_weight(kern, r) / r**3)[:, None] * dr
+        forces[a] += f.sum(axis=0)
+        forces[a + 1 + near] -= f
+        virial += dr.T @ f
+    return energy, forces, virial / sys.cell.volume
+
+
+def table_cases():
+    """Kernels over the supported accuracy range, with log-spaced radii."""
+    for delta in (1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        for r_c in (0.9, 2.0):
+            kern = kernel_for(delta, r_c)
+            r = np.geomspace(1e-5 * r_c, r_c, 4000)
+            yield kern, build_pair_table(kern), r
+
+
 class TestBuildPairTable:
     def test_near_field_matches_direct(self, basis_c12):
         kern = SplitKernel(basis=basis_c12, r_c=1.3)
@@ -60,22 +88,19 @@ class TestBuildPairTable:
         want = near_field(kern, r)
         scale = np.maximum(np.abs(want), np.abs(near_field(kern, kern.r_c / 2)))
         assert np.max(np.abs(got - want) / scale) < 1e-10
+        for kern, table, r in table_cases():
+            want = near_field(kern, r)
+            scale = np.maximum(np.abs(want),
+                               np.abs(near_field(kern, kern.r_c / 2)))
+            assert np.max(np.abs(table.near_field(r) - want) / scale) < 1e-12
 
     def test_fn_weight_matches_direct(self, basis_c12):
         kern = SplitKernel(basis=basis_c12, r_c=1.3)
         table = build_pair_table(kern)
         r = np.linspace(1e-4, kern.r_c, 10_000)
         assert np.max(np.abs(table.fn_weight(r) - fn_weight(kern, r))) < 1e-10
-
-    def test_seam_continuity(self, basis_c10):
-        # The polynomial piece and the spline piece must agree at r_in.
-        kern = SplitKernel(basis=basis_c10, r_c=0.9)
-        table = build_pair_table(kern)
-        eps = 1e-9 * kern.r_c
-        probe = np.array([table.r_in - eps, table.r_in + eps])
-        got = table.near_field(probe)
-        want = near_field(kern, probe)
-        assert np.max(np.abs(got - want)) < 1e-9 * abs(want[0])
+        for kern, table, r in table_cases():
+            assert np.max(np.abs(table.fn_weight(r) - fn_weight(kern, r))) < 1e-12
 
     def test_zero_beyond_cutoff(self, basis_c10):
         kern = SplitKernel(basis=basis_c10, r_c=0.9)
@@ -83,19 +108,6 @@ class TestBuildPairTable:
         r = np.array([kern.r_c, 1.1 * kern.r_c, 5.0 * kern.r_c])
         assert np.all(table.near_field(r) == 0.0)
         assert np.all(table.fn_weight(r)[1:] == 0.0)
-
-    def test_large_bandwidth_shrinks_r_in(self):
-        # Tight splits need a smaller polynomial interval to hit tolerance.
-        kern = kernel_for(1e-8, 1.0)
-        table = build_pair_table(kern)
-        assert table.r_in <= 0.1 * kern.r_c
-
-    def test_bad_r_in_rejected(self, basis_c10):
-        kern = SplitKernel(basis=basis_c10, r_c=0.9)
-        with pytest.raises(RealspaceError):
-            build_pair_table(kern, r_in=kern.r_c)
-        with pytest.raises(RealspaceError):
-            build_pair_table(kern, r_in=-0.1)
 
 
 class TestShortRangePair:
@@ -162,6 +174,18 @@ class TestShortRangeBulk:
             assert res.energy == pytest.approx(e_ref, abs=1e-12 * max(1, abs(e_ref)))
             np.testing.assert_allclose(res.forces, f_ref, atol=1e-12)
             np.testing.assert_allclose(res.pressure, p_ref, atol=1e-14)
+
+    def test_chunk_boundaries(self):
+        # Enough pairs for at least three chunks; tolerances as above.
+        kern = kernel_for(1e-5, 2.5)
+        sys = random_neutral_system(1200, [8.0, 8.0, 8.0], seed=21)
+        nb = build_cell_list(sys, kern.r_c)
+        assert nb.n_pairs > 2 * chunk_length(sys.n)
+        res = short_range(sys, kern, nb)
+        e_ref, f_ref, p_ref = dense_reference(sys, kern)
+        assert res.energy == pytest.approx(e_ref, abs=1e-12 * max(1, abs(e_ref)))
+        np.testing.assert_allclose(res.forces, f_ref, atol=1e-12)
+        np.testing.assert_allclose(res.pressure, p_ref, atol=1e-14)
 
     def test_newtons_third_law(self, basis_c10):
         kern = SplitKernel(basis=basis_c10, r_c=1.5)

@@ -192,6 +192,25 @@ class TestBuildCellList:
         got = set(zip(nl.i.tolist(), nl.j.tolist()))
         assert got == brute_force_pairs(sys, 1.8)
 
+    @pytest.mark.parametrize("h", [np.diag([7.0, 8.0, 7.5]),
+                                   [[7.0, 1.0, 0.0], [0.0, 8.0, 0.5],
+                                    [0.0, 0.0, 7.5]]],
+                             ids=["orthorhombic", "triclinic"])
+    def test_pair_order_contract(self, h):
+        # Each pair once with i < j, in an order that repeats exactly.
+        rng = np.random.default_rng(12)
+        cell = Cell(h=np.asarray(h, dtype=float))
+        pos = rng.uniform(0, 1, (150, 3)) @ cell.h.T
+        sys = ParticleSystem(cell=cell, positions=pos, charges=np.ones(150))
+        nl = build_cell_list(sys, 1.8)
+        assert nl.n_pairs > 0 and np.all(nl.i < nl.j)
+        got = set(zip(nl.i.tolist(), nl.j.tolist()))
+        assert len(got) == nl.n_pairs
+        assert got == brute_force_pairs(sys, 1.8)
+        again = build_cell_list(sys, 1.8)
+        np.testing.assert_array_equal(again.i, nl.i)
+        np.testing.assert_array_equal(again.j, nl.j)
+
     def test_cutoff_too_large(self):
         cell = Cell.orthorhombic([4.0, 10.0, 10.0])
         sys = ParticleSystem(cell=cell, positions=[[1, 1, 1]], charges=[1.0])
