@@ -1,9 +1,13 @@
 """FFT particle-mesh pipeline for the long-range (far-field) contribution.
 
-The pipeline is: spread charges through a separable prolate window onto a
-uniform mesh, take one forward FFT, apply diagonal (mode-by-mode) scaling,
-and either reduce over modes (energy, global pressure: no inverse transform)
-or inverse-transform and gather (forces, per-particle pressure).
+The pipeline is: build the stencil of the configuration once (for every
+particle the P^3 grid nodes that its separable prolate window covers, and
+the window weights there), spread charges through it onto a uniform mesh,
+take one forward FFT, apply diagonal (mode-by-mode) scaling, and either
+reduce over modes (energy, global pressure: no inverse transform) or
+inverse-transform and gather through the same stencil (forces, per-particle
+pressure).  forward_density returns the Fourier coefficients together with
+the stencil, so each configuration builds it exactly once.
 
 Conventions.  Continuum Fourier pair on the periodic cell:
 f_hat(k) = int f(r) exp(-i k r) dr,  f(r) = (1/V) sum_k f_hat(k) exp(i k r).
@@ -49,10 +53,6 @@ class TransformProvider:
     def inverse(self, values: np.ndarray) -> np.ndarray:
         self.inverse_count += 1
         return np.fft.ifftn(values)
-
-    def reset(self):
-        self.forward_count = 0
-        self.inverse_count = 0
 
 
 @dataclass(frozen=True)
@@ -142,88 +142,91 @@ def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
                     lengths=tuple(float(x) for x in lengths))
 
 
-@dataclass
-class GridField:
-    """Scalar field on the periodic mesh, in real or Fourier space."""
+@dataclass(frozen=True)
+class SpectralDensity:
+    """Fourier coefficients of the spread charge and the stencil that spread it.
+
+    ``values`` holds rho_hat(k_m) with continuum normalization.  ``flat`` and
+    ``weights`` (N x P^3) are every particle's stencil nodes as flat grid
+    indices and their window products W(t_x) W(t_y) W(t_z); ``offsets``
+    (N x 3) are the fractional offsets that set the window at the nodes.
+    Every gather of the configuration goes through this one stencil.
+    """
 
     values: np.ndarray
-    spec: GridSpec
-    space: str = "real"
+    flat: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+    def gather(self, field: np.ndarray) -> np.ndarray:
+        """sum over the stencil of field(r_g) W(r_g - r_j), per particle."""
+        return np.einsum("np,np->n", field.reshape(-1)[self.flat], self.weights)
+
+    def gather_gradient(self, field: np.ndarray, spec: GridSpec) -> np.ndarray:
+        """sum over the stencil of field(r_g) grad_j W(r_j - r_g) (N x 3).
+
+        The window and its gradient come from the offsets; the P^3 weight
+        products are never formed for the gradient.
+        """
+        w = spec.window(self.offsets)
+        dw = spec.window(self.offsets, derivative=1) / np.asarray(spec.spacing)[:, None]
+        P = spec.P
+        vals = field.reshape(-1)[self.flat].reshape(-1, P, P, P)
+        out = np.empty((vals.shape[0], 3))
+        for d in range(3):
+            factors = [dw[:, e] if e == d else w[:, e] for e in range(3)]
+            out[:, d] = np.einsum("nabc,na,nb,nc->n", vals, *factors,
+                                  optimize=True)
+        return out
 
 
-def _stencil(positions_d: np.ndarray, M: int, h: float, P: int):
-    """Per-dimension stencil indices and grid-unit offsets.
+def _window_weights(sys: ParticleSystem, spec: GridSpec):
+    """The stencil of one configuration, for spreading and every gather.
 
-    Nearest grid point anchors an odd-P stencil; the midpoint of the two
-    nearest grid points anchors an even-P stencil.
+    Along each axis a particle at u = x/h (grid units) covers the P nodes
+    first, ..., first + P - 1 with first = floor(u - P/2) + 1: odd P centres
+    the stencil on the nearest node, even P on the midpoint of the two
+    nearest.  Node j sits at t_j = P/2 - 1 - j + f from the particle, with
+    f = frac(u - P/2), so the window table gives all P weights from f.
+    Returns the flat node indices and the weight products, both N x P^3 and
+    C-contiguous, and the offsets f (N x 3).
     """
-    u = positions_d / h
-    if P % 2 == 1:
-        # Stencil centered on the nearest grid point.
-        base = np.round(u)
-        p = np.arange(-(P // 2), P // 2 + 1)
-    else:
-        # Stencil centered on the midpoint of the two nearest grid points.
-        base = np.floor(u)
-        p = np.arange(-(P // 2 - 1), P // 2 + 1)
-    nodes = base[:, None] + p[None, :]
-    idx = np.mod(nodes.astype(np.int64), M)
-    t = u[:, None] - nodes
-    return idx, t
+    P, M = spec.P, spec.M
+    a = sys.positions / np.asarray(spec.spacing) - P / 2.0
+    below = np.floor(a)
+    offsets = a - below
+    w = spec.window(offsets)
+    weights = (w[:, 0, :, None, None] * w[:, 1, None, :, None]
+               * w[:, 2, None, None, :]).reshape(sys.n, -1)
+    first = below.astype(np.int64) + 1
+    ix, iy, iz = (np.mod(first[:, d, None] + np.arange(P), M[d]) for d in range(3))
+    flat = ((ix[:, :, None, None] * M[1] + iy[:, None, :, None]) * M[2]
+            + iz[:, None, None, :]).reshape(sys.n, -1)
+    return flat, weights, offsets
 
 
-def _window_weights(sys: ParticleSystem, spec: GridSpec, derivative_dim: int = -1):
-    """Stencil indices and separable window weights for every particle.
-
-    With ``derivative_dim`` >= 0 the weight along that dimension is the
-    window derivative with respect to the physical coordinate.
-    """
-    idx, wgt = [], []
-    for d in range(3):
-        i_d, t_d = _stencil(sys.positions[:, d], spec.M[d], spec.spacing[d], spec.P)
-        if d == derivative_dim:
-            w_d = spec.window(t_d, derivative=1) / spec.spacing[d]
-        else:
-            w_d = spec.window(t_d)
-        idx.append(i_d)
-        wgt.append(w_d)
-    return idx, wgt
+def _deposit(flat: np.ndarray, weights: np.ndarray, charges: np.ndarray,
+             M: tuple) -> np.ndarray:
+    """Grid of sum_j q_j W(r_g - r_j), periodized across boundaries."""
+    w = weights * charges[:, None]
+    return np.bincount(flat.ravel(), weights=w.ravel(),
+                       minlength=int(np.prod(M))).reshape(M)
 
 
-def _flat_indices(idx, M) -> np.ndarray:
-    ix, iy, iz = idx
-    return ((ix[:, :, None, None] * M[1] + iy[:, None, :, None]) * M[2]
-            + iz[:, None, None, :])
-
-
-def _combined_weights(wgt) -> np.ndarray:
-    wx, wy, wz = wgt
-    return wx[:, :, None, None] * wy[:, None, :, None] * wz[:, None, None, :]
-
-
-def spread_charges(sys: ParticleSystem, spec: GridSpec) -> GridField:
+def spread_charges(sys: ParticleSystem, spec: GridSpec) -> np.ndarray:
     """Deposit q_j W(r_g - r_j) on the mesh, periodized across boundaries."""
-    idx, wgt = _window_weights(sys, spec)
-    flat = _flat_indices(idx, spec.M).reshape(sys.n, -1)
-    w = _combined_weights(wgt).reshape(sys.n, -1) * sys.charges[:, None]
-    rho = np.bincount(flat.ravel(), weights=w.ravel(), minlength=spec.n_grid)
-    return GridField(values=rho.reshape(spec.M), spec=spec, space="real")
-
-
-def _gather(field_values: np.ndarray, sys: ParticleSystem, spec: GridSpec,
-            derivative_dim: int = -1) -> np.ndarray:
-    idx, wgt = _window_weights(sys, spec, derivative_dim)
-    flat = _flat_indices(idx, spec.M).reshape(sys.n, -1)
-    w = _combined_weights(wgt).reshape(sys.n, -1)
-    return np.einsum("np,np->n", field_values.reshape(-1)[flat], w)
+    flat, weights, _ = _window_weights(sys, spec)
+    return _deposit(flat, weights, sys.charges, spec.M)
 
 
 def forward_density(sys: ParticleSystem, spec: GridSpec,
-                    provider: TransformProvider) -> GridField:
-    """Spread and forward-transform; values carry continuum normalization."""
-    rho = spread_charges(sys, spec)
-    rho_hat = provider.forward(rho.values) * spec.cell_volume_element
-    return GridField(values=rho_hat, spec=spec, space="fourier")
+                    provider: TransformProvider) -> SpectralDensity:
+    """Build the stencil, spread and forward-transform (continuum normalized)."""
+    flat, weights, offsets = _window_weights(sys, spec)
+    rho = _deposit(flat, weights, sys.charges, spec.M)
+    rho_hat = provider.forward(rho) * spec.cell_volume_element
+    return SpectralDensity(values=rho_hat, flat=flat, weights=weights,
+                           offsets=offsets)
 
 
 class ModeWorkspace:
@@ -273,25 +276,23 @@ class ModeWorkspace:
         return out
 
 
-def long_range_energy(rho_hat: GridField, kern: SplitKernel, spec: GridSpec,
-                      cell: Cell, modes: ModeWorkspace | None = None) -> float:
+def long_range_energy(rho_hat: SpectralDensity, kern: SplitKernel,
+                      spec: GridSpec, cell: Cell,
+                      modes: ModeWorkspace | None = None) -> float:
     """U_F = (1/2V) sum_{k != 0} Fhat(k) What(k)^-2 |rho_hat(k)|^2."""
-    if rho_hat.space != "fourier":
-        raise MeshError("long_range_energy expects a spectral density")
     m = modes or ModeWorkspace(spec, kern, cell)
     amp2 = np.abs(rho_hat.values[m.mask]) ** 2
     return float(np.sum(m.fhat * m.w_inv2 * amp2) / (2.0 * m.volume))
 
 
-def long_range_pressure(rho_hat: GridField, kern: SplitKernel, spec: GridSpec,
-                        cell: Cell, modes: ModeWorkspace | None = None) -> np.ndarray:
+def long_range_pressure(rho_hat: SpectralDensity, kern: SplitKernel,
+                        spec: GridSpec, cell: Cell,
+                        modes: ModeWorkspace | None = None) -> np.ndarray:
     """Global far-field pressure tensor by diagonal scaling and reduction.
 
     No inverse transform: one forward FFT (already performed to obtain
     rho_hat) suffices.
     """
-    if rho_hat.space != "fourier":
-        raise MeshError("long_range_pressure expects a spectral density")
     m = modes or ModeWorkspace(spec, kern, cell)
     amp2 = np.abs(rho_hat.values[m.mask]) ** 2
     scaled = m.w_inv2 * amp2 / (2.0 * m.volume**2)
@@ -303,8 +304,21 @@ def long_range_pressure(rho_hat: GridField, kern: SplitKernel, spec: GridSpec,
     return out
 
 
-def long_range_forces(rho_hat: GridField, sys: ParticleSystem, kern: SplitKernel,
-                      spec: GridSpec, cell: Cell, mode: str = "ik",
+def _inverse_field(coefficients: np.ndarray, m: ModeWorkspace, spec: GridSpec,
+                   provider: TransformProvider) -> np.ndarray:
+    """Real grid field of retained-mode coefficients, times h^3.
+
+    The field itself is the inverse transform over h^3 (1/V convention); the
+    trapezoidal gather weighs it by h^3, so neither factor is applied.  Only
+    the real part is kept, so the complex grids are freed before the gather.
+    """
+    spec_arr = np.zeros(spec.M, dtype=complex)
+    spec_arr[m.mask] = coefficients
+    return np.ascontiguousarray(provider.inverse(spec_arr).real)
+
+
+def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
+                      kern: SplitKernel, spec: GridSpec, cell: Cell, mode: str = "ik",
                       provider: TransformProvider | None = None,
                       modes: ModeWorkspace | None = None) -> np.ndarray:
     """Far-field forces by spectral differentiation and window gathering.
@@ -314,35 +328,24 @@ def long_range_forces(rho_hat: GridField, sys: ParticleSystem, kern: SplitKernel
     transform of Fhat What^-2 rho_hat, gathered with the window gradient
     (energy-conserving for small steps).
     """
-    if rho_hat.space != "fourier":
-        raise MeshError("long_range_forces expects a spectral density")
     if mode not in ("ik", "analytic"):
         raise MeshError(f"unknown differentiation mode {mode!r}")
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
-    h3 = spec.cell_volume_element
     scale = m.fhat * m.w_inv2 * rho_hat.values[m.mask]
 
+    if mode == "analytic":
+        fld = _inverse_field(scale, m, spec, provider)
+        return -sys.charges[:, None] * rho_hat.gather_gradient(fld, spec)
     forces = np.empty((sys.n, 3))
-    if mode == "ik":
-        for d in range(3):
-            spec_arr = np.zeros(spec.M, dtype=complex)
-            spec_arr[m.mask] = 1j * m.kvec[d] * scale
-            # Real-space field with the 1/V inverse-transform convention.
-            fld = provider.inverse(spec_arr).real / h3
-            forces[:, d] = -sys.charges * h3 * _gather(fld, sys, spec)
-    else:
-        spec_arr = np.zeros(spec.M, dtype=complex)
-        spec_arr[m.mask] = scale
-        fld = provider.inverse(spec_arr).real / h3
-        for d in range(3):
-            forces[:, d] = -sys.charges * h3 * _gather(fld, sys, spec,
-                                                       derivative_dim=d)
+    for d in range(3):
+        fld = _inverse_field(1j * m.kvec[d] * scale, m, spec, provider)
+        forces[:, d] = -sys.charges * rho_hat.gather(fld)
     return forces
 
 
-def local_pressure(rho_hat: GridField, sys: ParticleSystem, kern: SplitKernel,
-                   spec: GridSpec, cell: Cell,
+def local_pressure(rho_hat: SpectralDensity, sys: ParticleSystem,
+                   kern: SplitKernel, spec: GridSpec, cell: Cell,
                    provider: TransformProvider | None = None,
                    modes: ModeWorkspace | None = None) -> np.ndarray:
     """Per-particle far-field pressure tensors (N x 3 x 3).
@@ -351,20 +354,14 @@ def local_pressure(rho_hat: GridField, sys: ParticleSystem, kern: SplitKernel,
     by a trapezoidal window gather; the sum over particles reproduces the
     global far-field pressure up to gather aliasing.
     """
-    if rho_hat.space != "fourier":
-        raise MeshError("local_pressure expects a spectral density")
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
-    h3 = spec.cell_volume_element
-    base = m.w_inv2 * rho_hat.values[m.mask]
+    base = m.w_inv2 * rho_hat.values[m.mask] / (2.0 * m.volume)
 
     out = np.empty((sys.n, 3, 3))
     for a in range(3):
         for b in range(a, 3):
-            spec_arr = np.zeros(spec.M, dtype=complex)
-            spec_arr[m.mask] = m.pressure_kernel_component(a, b) * base
-            fld = provider.inverse(spec_arr).real / h3
-            gathered = _gather(fld, sys, spec)
-            comp = sys.charges * h3 * gathered / (2.0 * m.volume)
-            out[:, a, b] = out[:, b, a] = comp
+            fld = _inverse_field(m.pressure_kernel_component(a, b) * base,
+                                 m, spec, provider)
+            out[:, a, b] = out[:, b, a] = sys.charges * rho_hat.gather(fld)
     return out

@@ -10,8 +10,11 @@ whose eigenfunctions coincide with those of the finite Fourier integral
 operator.  Even and odd Legendre orders decouple; the order-zero function
 lives in the even block and corresponds to the smallest differential
 eigenvalue.  psi_0^c and its derivative are evaluated straight from the
-expansion; a piecewise-polynomial (Horner-evaluated) table serves the
-rescaled spreading window, which the mesh evaluates per particle.
+expansion.  The rescaled spreading window, which the mesh evaluates P times
+per particle and axis, is served by a WindowTable: one Chebyshev column per
+stencil node in the particle's fractional offset, so all P values come from
+one row of a Chebyshev-Vandermonde matrix times the table, with no search
+and no branch on the argument.
 """
 
 from __future__ import annotations
@@ -20,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.interpolate import PPoly
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 BANDWIDTH_MIN = 0.5
 BANDWIDTH_MAX = 80.0
-DEFAULT_TABLE_TOL = 1e-13
-DEFAULT_TABLE_DEGREE = 18
 
 
 class PswfError(Exception):
@@ -82,29 +82,6 @@ def _legendre_coefficients(c: float, n_min: int | None = None) -> np.ndarray:
     if npleg.legval(0.0, coef) < 0.0:
         coef = -coef
     return coef
-
-
-def _build_table(fun, degree: int, n_intervals: int, lo: float, hi: float) -> PPoly:
-    """Piecewise polynomial of given degree on uniform subintervals of [lo, hi].
-
-    Each piece interpolates ``fun`` at Chebyshev nodes mapped into the piece.
-    """
-    breaks = np.linspace(lo, hi, n_intervals + 1)
-    width = breaks[1] - breaks[0]
-    # Chebyshev points of the first kind in [-1, 1].
-    s = np.cos(np.pi * (2.0 * np.arange(degree + 1) + 1.0) / (2.0 * (degree + 1)))
-    coeffs = np.empty((degree + 1, n_intervals))
-    lin = np.polynomial.Polynomial([1.0, 2.0 / width])  # s = -1 + 2 t / width
-    for i in range(n_intervals):
-        x = breaks[i] + 0.5 * width * (s + 1.0)
-        cheb = np.polynomial.chebyshev.Chebyshev.fit(s, fun(x), degree, domain=[-1, 1])
-        poly = cheb.convert(kind=np.polynomial.Polynomial)
-        # Compose with the affine map t -> s so pieces are in (x - left) powers.
-        local = poly(np.polynomial.Polynomial([-1.0, 2.0 / width]))
-        cvec = np.zeros(degree + 1)
-        cvec[: local.coef.size] = local.coef
-        coeffs[:, i] = cvec[::-1]
-    return PPoly(coeffs, breaks, extrapolate=False)
 
 
 @dataclass(frozen=True)
@@ -190,57 +167,43 @@ def solve_bandwidth(delta: float) -> float:
 
 @dataclass(frozen=True)
 class WindowTable:
-    """Spreading window W(x) = psi_0^c(2x/P) on [-P/2, P/2] in grid units.
+    """Spreading window W(t) = psi_0^c(2t/P), t in grid units, per stencil node.
 
-    ``value`` and ``deriv`` are per-unit-subinterval polynomial tables for
-    the window and its derivative with respect to the grid-unit argument.
+    Node j = 0, ..., P-1 of a particle's stencil sits at t_j = P/2 - 1 - j + f
+    from it, where f in [0, 1) is the particle's fractional offset (see
+    mesh._window_weights), so node j always falls on the same unit piece of
+    the window.  Column j of ``value`` (``deriv``) holds the Chebyshev
+    coefficients, in s = 2f - 1, of W(t_j) (dW/dt at t_j).
     """
 
     P: int
-    degree: int
-    table_tol: float
-    value: PPoly
-    deriv: PPoly
     basis_c: float
+    value: np.ndarray
+    deriv: np.ndarray
 
-    def __call__(self, x, derivative: int = 0):
-        table = self.deriv if derivative else self.value
-        xa = np.asarray(x, dtype=float)
-        out = table(xa)
-        out = np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-        return out if out.ndim else float(out)
+    def __call__(self, f, derivative: int = 0) -> np.ndarray:
+        """W (or dW/dt) at the P nodes of offsets ``f``; shape f.shape + (P,)."""
+        coef = self.deriv if derivative else self.value
+        f = np.asarray(f, dtype=float)
+        vander = np.polynomial.chebyshev.chebvander(2.0 * f.ravel() - 1.0,
+                                                    len(coef) - 1)
+        return (vander @ coef).reshape(f.shape + (self.P,))
 
 
-def tabulate_window(basis: PswfBasis, P: int, table_tol: float = DEFAULT_TABLE_TOL,
-                    degree: int = DEFAULT_TABLE_DEGREE) -> WindowTable:
-    """Per-subinterval polynomial tables for the P-point spreading window."""
+def tabulate_window(basis: PswfBasis, P: int) -> WindowTable:
+    """Chebyshev columns of the P-point spreading window and its derivative.
+
+    On one unit piece the window spans 2/P of psi_0^c, a function of
+    bandwidth c; ceil(c/P) + 16 terms keep both columns within 5e-14 of
+    the series, relative to psi_0^c(0), for c in [0.5, 80] and P in [2, 16].
+    """
     if P < 2:
         raise PswfError(f"spreading order P={P} must be >= 2")
-    half = P / 2.0
-    scale = 2.0 / P
-    coef = basis.legendre_coeffs
-    dcoef = npleg.legder(coef)
-
-    def wval(x):
-        t = np.clip(np.asarray(x) * scale, -1.0, 1.0)
-        return npleg.legval(t, coef)
-
-    def wder(x):
-        t = np.clip(np.asarray(x) * scale, -1.0, 1.0)
-        return npleg.legval(t, dcoef) * scale
-
-    # P unit-length subintervals; refine each into equal pieces if the
-    # tolerance demands more resolution.
-    pieces = 1
-    for _ in range(8):
-        n_int = P * pieces
-        value = _build_table(wval, degree, n_int, -half, half)
-        deriv = _build_table(wder, degree, n_int, -half, half)
-        x = np.linspace(-half, half, 4097)
-        err = np.max(np.abs(value(x) - wval(x))) / basis.psi0_at_zero
-        if err <= table_tol:
-            return WindowTable(P=int(P), degree=int(degree),
-                               table_tol=float(table_tol), value=value,
-                               deriv=deriv, basis_c=basis.c)
-        pieces *= 2
-    raise PswfError(f"window table did not reach tolerance {table_tol}")
+    cheb = np.polynomial.chebyshev
+    degree = int(np.ceil(basis.c / P)) + 15
+    s = cheb.chebpts1(degree + 1)
+    # 2 t_j / P at f = (s + 1) / 2, one column per node j.
+    x = (P - 1.0 - 2.0 * np.arange(P) + s[:, None]) / P
+    value = cheb.chebfit(s, basis.psi_series(x), degree)
+    deriv = cheb.chebfit(s, basis.psi_series(x, derivative=1) * (2.0 / P), degree)
+    return WindowTable(P=int(P), basis_c=basis.c, value=value, deriv=deriv)

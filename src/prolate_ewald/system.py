@@ -48,10 +48,6 @@ class Cell:
         return cls(np.diag(np.asarray(lengths, dtype=float)))
 
     @property
-    def lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.h, axis=0)
-
-    @property
     def is_orthorhombic(self) -> bool:
         off = self.h - np.diag(np.diag(self.h))
         return bool(np.all(np.abs(off) <= 1e-12 * np.max(np.abs(self.h))))
@@ -124,10 +120,6 @@ class ParticleSystem:
     @property
     def total_charge(self) -> float:
         return float(np.sum(self.charges))
-
-    def with_positions(self, positions, cell: Cell = None) -> "ParticleSystem":
-        return ParticleSystem(positions, self.charges, cell or self.cell,
-                              self.masses, self.momenta)
 
 
 @dataclass(frozen=True)

@@ -170,27 +170,53 @@ class TestEvalPhi0:
             eval_phi0(basis_c12, 0.1, -0.9)
 
 
-class TestTabulateWindow:
-    def test_zero_outside_support(self, basis_c10):
-        w = tabulate_window(basis_c10, 5)
-        assert w(np.array([2.51, -2.51, 4.0])).tolist() == [0.0, 0.0, 0.0]
+def window_at(w, t, derivative=0):
+    """W(t) (or dW/dt) read from the per-node table: t = P/2 - 1 - j + f."""
+    a = np.atleast_1d(np.asarray(t, dtype=float)) - w.P / 2.0
+    f = a - np.floor(a)
+    j = (-1 - np.floor(a)).astype(int)
+    return np.take_along_axis(w(f, derivative), j[:, None], axis=1)[:, 0]
 
+
+class TestTabulateWindow:
     def test_center_value(self, basis_c10):
         w = tabulate_window(basis_c10, 5)
-        assert w(0.0) == pytest.approx(basis_c10.psi_series(0.0), abs=1e-13)
+        assert window_at(w, 0.0)[0] == pytest.approx(basis_c10.psi_series(0.0),
+                                                      abs=1e-13)
 
     def test_matches_rescaled_psi(self, basis_c10):
         w = tabulate_window(basis_c10, 7)
         rng = np.random.default_rng(7)
         xs = rng.uniform(-3.5, 3.5, 10_000)
         ref = basis_c10.psi_series(2.0 * xs / 7.0)
-        assert np.max(np.abs(w(xs) - ref)) <= 1e-12
+        assert np.max(np.abs(window_at(w, xs) - ref)) <= 1e-12
 
     def test_derivative_chain_rule(self, basis_c10):
         w = tabulate_window(basis_c10, 6)
         xs = np.linspace(-2.9, 2.9, 41)
         ref = basis_c10.psi_series(2.0 * xs / 6.0, derivative=1) * (2.0 / 6.0)
-        assert np.max(np.abs(w(xs, derivative=1) - ref)) <= 1e-11
+        assert np.max(np.abs(window_at(w, xs, derivative=1) - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("c", [0.5, 4.26, 12.02, 16.89, 21.69, 31.18,
+                                   35.89, 80.0])
+    def test_every_order_matches_series(self, c):
+        # Bandwidths of delta 1e-2 to 1e-14 and both ends of the allowed
+        # range; small P at small delta (P = 2 at c >= 12.02, P = 3 at
+        # c >= 21.69, P = 4 at c >= 31.18) is where the window changes
+        # fastest across one unit piece.
+        basis = basis_for(c=c)
+        rng = np.random.default_rng(11)
+        f = np.concatenate([[0.0, 0.5, np.nextafter(1.0, 0.0)],
+                            rng.uniform(0.0, 1.0, 500)])
+        scale = basis.psi0_at_zero
+        for P in range(2, 17):
+            w = tabulate_window(basis, P)
+            x = 2.0 * (P / 2.0 - 1.0 - np.arange(P) + f[:, None]) / P
+            value = np.max(np.abs(w(f) - basis.psi_series(x)))
+            deriv = np.max(np.abs(w(f, derivative=1)
+                                  - basis.psi_series(x, derivative=1) * 2.0 / P))
+            assert value <= 1e-12 * scale, (P, value)
+            assert deriv <= 1e-11 * scale, (P, deriv)
 
     def test_order_error(self, basis_c10):
         with pytest.raises(PswfError):

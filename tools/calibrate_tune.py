@@ -16,9 +16,15 @@ running simulation, so error constants for strongly structured systems
 Usage: python3 tools/calibrate_tune.py > data/tune_calibration.txt
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
+# Import the package from this checkout's src/, so that the usage line above
+# works without an installed package or PYTHONPATH.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,  # noqa: E402
                            ParticleSystem, evaluate_exact)
 
 DELTAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
