@@ -484,6 +484,9 @@ def cmd_simulate(args) -> int:
     lines.append(f"stat stderr_volume {fnum(stats.stderr_volume)}")
     lines.append(f"stat mean_temperature {fnum(stats.mean_temperature)}")
     lines.append(f"stat n_samples {stats.n_samples}")
+    lines.append(f"stat full_replans {stats.full_replans}")
+    lines.append(f"stat replan_fallbacks {stats.replan_fallbacks}")
+    lines.append(f"stat neighbor_rebuilds {stats.neighbor_rebuilds}")
     _emit(lines, args.output)
     return EXIT_OK
 

@@ -81,9 +81,8 @@ def mode_kernel(kern: SplitKernel, k2):
     b = kern.basis
     x = np.clip(np.sqrt(k2) * kern.r_c / b.c, 0.0, 1.0)
     pref = 2.0 * np.pi * b.lambda0 / b.C0
-    fhat = pref * b.psi_series(x) / k2
-    dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
-    return fhat, dterm
+    psi, slope = b.psi_and_slope(x)
+    return pref * psi / k2, pref * slope / k2**2
 
 
 def far_field_hat(kern: SplitKernel, k):

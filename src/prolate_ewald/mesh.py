@@ -250,22 +250,25 @@ class ModeWorkspace:
         k2 = kx**2 + ky**2 + kz**2
         mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         self.mask = mask
-        self.kvec = [np.broadcast_to(kx, spec.M)[mask],
-                     np.broadcast_to(ky, spec.M)[mask],
-                     np.broadcast_to(kz, spec.M)[mask]]
+        index = np.nonzero(mask)
+        self.kvec = [k[i] for k, i in zip(ks, index)]
         self.k2 = k2[mask]
 
+        # The window is separable, so its transform is
+        # prod_d omega_d lambda0 psi_0(omega_d k_d / c): psi_0 is read once
+        # per axis wavenumber (sum of M_d arguments, one call), not three
+        # times per retained mode.
         sb = spec.spread_basis
-        what = np.ones_like(self.k2)
-        for d in range(3):
-            arg = spec.omega[d] * self.kvec[d] / sb.c
-            what *= spec.omega[d] * sb.lambda0 * sb.psi_series(np.clip(arg, -1, 1))
-        w0 = float(np.prod([w * sb.lambda0 * sb.psi0_at_zero for w in spec.omega]))
-        if np.any(np.abs(what) < 1e-13 * abs(w0)):
+        arg = np.concatenate([w * k for w, k in zip(spec.omega, ks)]) / sb.c
+        psi, _ = sb.psi_and_slope(np.clip(arg, -1.0, 1.0))
+        tables = np.split(psi, np.cumsum(spec.M)[:2])
+        px, py, pz = (t[i] for t, i in zip(tables, index))
+        psi3 = px * py * pz
+        if np.any(np.abs(psi3) < 1e-13 * sb.psi0_at_zero**3):
             raise PlanningError(
                 "window transform underflow on a retained mode; the plan does "
                 "not cover the kernel band")
-        self.w_inv2 = 1.0 / (what * what)
+        self.w_inv2 = 1.0 / (np.prod(spec.omega) * sb.lambda0**3 * psi3) ** 2
         self.fhat, self.dterm = mode_kernel(kern, self.k2)
 
     def pressure_kernel_component(self, a: int, b: int) -> np.ndarray:

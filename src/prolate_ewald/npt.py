@@ -6,6 +6,12 @@ stochastic cell-rescaling barostat acting on the log volume.  The barostat
 rescales the cell and positions affinely (fixed fractional coordinates)
 and leaves momenta untouched; the mesh is re-planned once the accumulated
 volume change exceeds a threshold.
+
+The Coulomb and soft-core passes share one Verlet neighbor list (Verlet,
+Phys. Rev. 1967) built at the larger of their cutoffs plus a skin derived
+from the cell.  It is reused from step to step, across barostat rescales
+too, for as long as no pair outside it can have come within the cutoff,
+and rebuilt otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import numpy as np
 from .evaluate import CoulombSolver, EwaldParameters, kinetic_pressure
 from .mesh import PlanningError
 from .realspace import _add_pair_forces
-from .system import Cell, ParticleSystem, build_cell_list, minimum_image
+from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
+                     check_cutoff, minimum_image)
 
 KB_DEFAULT = 1.0
 
@@ -57,6 +64,16 @@ class NptConfig:
             raise SimulationError("beta_T must be nonnegative")
         if self.n_steps < 0:
             raise SimulationError("n_steps must be nonnegative")
+        if self.record_every < 1:
+            raise SimulationError("record_every must be at least 1")
+        if self.thermostat_period < 0:
+            raise SimulationError("thermostat_period must be nonnegative")
+        if not 0.0 <= self.burn_in_fraction < 1.0:
+            raise SimulationError("burn_in_fraction must lie in [0, 1)")
+        if self.softcore_cutoff is not None and self.softcore_cutoff <= 0:
+            raise SimulationError("softcore_cutoff must be positive")
+        if self.target_T < 0:
+            raise SimulationError("target_T must be nonnegative")
 
 
 @dataclass
@@ -82,6 +99,9 @@ class NptState:
     log_volume_reference: float = 0.0
     full_replans: int = 0        # barostat rebinds that re-planned grid counts
     replan_fallbacks: int = 0    # of those, taken after the pinned grid failed
+    neighbors: NeighborList | None = None     # the Verlet list in use
+    neighbor_origin: ParticleSystem | None = None  # configuration it was built from
+    neighbor_rebuilds: int = 0
 
 
 def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
@@ -127,10 +147,40 @@ def kinetic_temperature(sys: ParticleSystem, kB: float = KB_DEFAULT) -> float:
     return 2.0 * ke / (dof * kB)
 
 
+def _neighbors(state: NptState, reach: float) -> NeighborList:
+    """A list holding every pair of the current configuration within ``reach``.
+
+    Positions are mapped back to the build cell, which removes the
+    barostat's affine rescale.  A pair outside the list was farther than
+    reach + skin at the build; with every particle moved by at most d_max
+    since, and sigma the smallest singular value of h h_b^-1, it is now
+    farther than sigma (reach + skin - 2 d_max).  The list is kept while
+    that is at least ``reach`` and rebuilt otherwise, on every step when the
+    cell leaves no room for a skin.
+    """
+    sys = state.system
+    check_cutoff(sys.cell, reach)
+    nl, origin = state.neighbors, state.neighbor_origin
+    if nl is not None and nl.skin > 0.0:
+        mapped = origin.cell.cartesian(sys.cell.fractional(sys.positions))
+        moved = minimum_image(origin.cell, mapped - origin.positions)
+        d_max = np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))
+        sigma = np.linalg.svd(sys.cell.h @ np.linalg.inv(origin.cell.h),
+                              compute_uv=False)[-1]
+        if sigma * (reach + nl.skin - 2.0 * d_max) >= reach:
+            return nl
+    width = np.min(sys.cell.perpendicular_widths())
+    skin = max(min(0.1 * reach, 0.49 * width - reach), 0.0)
+    state.neighbors = build_cell_list(sys, reach, skin)
+    state.neighbor_origin = sys
+    state.neighbor_rebuilds += 1
+    return state.neighbors
+
+
 def _evaluate_all(state: NptState, cfg: NptConfig):
     sys = state.system
     cutoff = cfg.softcore_cutoff or cfg.ewald.r_c
-    neighbors = build_cell_list(sys, max(cutoff, cfg.ewald.r_c))
+    neighbors = _neighbors(state, max(cutoff, cfg.ewald.r_c))
     coul = state.solver.evaluate(sys, neighbors=neighbors)
     u_sc, f_sc, p_sc = softcore_interactions(sys, cfg.softcore_coeff, cutoff,
                                              neighbors=neighbors)
@@ -194,6 +244,7 @@ class TrajectoryStatistics:
     n_samples: int
     full_replans: int
     replan_fallbacks: int
+    neighbor_rebuilds: int
 
 
 def _mean_stderr(values: np.ndarray, n_blocks: int = 20):
@@ -288,4 +339,5 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
                                 stderr_volume=sv, mean_temperature=mt,
                                 n_samples=len(kept),
                                 full_replans=state.full_replans,
-                                replan_fallbacks=state.replan_fallbacks)
+                                replan_fallbacks=state.replan_fallbacks,
+                                neighbor_rebuilds=state.neighbor_rebuilds)

@@ -10,11 +10,15 @@ whose eigenfunctions coincide with those of the finite Fourier integral
 operator.  Even and odd Legendre orders decouple; the order-zero function
 lives in the even block and corresponds to the smallest differential
 eigenvalue.  psi_0^c and its derivative are evaluated straight from the
-expansion.  The rescaled spreading window, which the mesh evaluates P times
-per particle and axis, is served by a WindowTable: one Chebyshev column per
-stencil node in the particle's fractional offset, so all P values come from
-one row of a Chebyshev-Vandermonde matrix times the table, with no search
-and no branch on the argument.
+expansion.  The mode kernels need psi_0^c and x psi_0^c' together at many
+arguments; both are even, so a Legendre expansion of degree 2m is a
+polynomial of degree m in u = 2x^2 - 1, and PswfBasis.psi_and_slope reads
+the pair from one Chebyshev table of m + 1 terms in u.  The rescaled
+spreading window, which the mesh evaluates P times per particle and axis,
+is served by a WindowTable: one Chebyshev column per stencil node in the
+particle's fractional offset, so all P values come from one row of a
+Chebyshev-Vandermonde matrix times the table, with no search and no branch
+on the argument.
 """
 
 from __future__ import annotations
@@ -99,6 +103,7 @@ class PswfBasis:
     psi0_at_zero: float
     C0: float
     _cumint_coeffs: np.ndarray  # Legendre coefficients of int_0^x psi_0^c
+    _mode_table: np.ndarray     # (m + 1, 2) Chebyshev columns in u = 2x^2 - 1
 
     def psi_series(self, x, derivative: int = 0):
         """Spectrally exact evaluation straight from the Legendre expansion."""
@@ -106,6 +111,18 @@ class PswfBasis:
         if derivative:
             coef = npleg.legder(coef, derivative)
         return npleg.legval(np.asarray(x, dtype=float), coef)
+
+    def psi_and_slope(self, x):
+        """psi_0^c(x) and x psi_0^c'(x) for |x| <= 1, from one table product.
+
+        Agrees with psi_series to roundoff: both are the same polynomials,
+        rewritten in u = 2x^2 - 1.
+        """
+        x = np.asarray(x, dtype=float)
+        vander = np.polynomial.chebyshev.chebvander(2.0 * x * x - 1.0,
+                                                    len(self._mode_table) - 1)
+        out = vander @ self._mode_table
+        return out[..., 0], out[..., 1]
 
     def cumulative(self, x):
         """int_0^x psi_0^c(t) dt, exact from the expansion."""
@@ -126,6 +143,15 @@ def build_pswf(c: float) -> PswfBasis:
     C0 = float(0.5 * np.sum(weights * npleg.legval(x01, coef)))
     lambda0 = 2.0 * C0 / psi0_0
 
+    # psi_0^c and x psi_0^c' are even of degree 2m: interpolating them in
+    # u = 2x^2 - 1 at m + 1 Chebyshev points is exact.
+    m = (len(coef) - 1) // 2
+    cheb = np.polynomial.chebyshev
+    u = cheb.chebpts1(m + 1)
+    x = np.sqrt(0.5 * (u + 1.0))
+    pairs = np.stack([npleg.legval(x, coef),
+                      x * npleg.legval(x, npleg.legder(coef))], axis=1)
+
     return PswfBasis(
         c=float(c),
         legendre_coeffs=coef,
@@ -133,6 +159,7 @@ def build_pswf(c: float) -> PswfBasis:
         psi0_at_zero=psi0_0,
         C0=C0,
         _cumint_coeffs=npleg.legint(coef, lbnd=0.0),
+        _mode_table=cheb.chebfit(u, pairs, m),
     )
 
 

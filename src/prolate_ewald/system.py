@@ -127,7 +127,10 @@ class NeighborList:
     """Pairs with minimum-image distance <= r_c + skin.
 
     Each unordered pair appears once, with i < j, in an order that is
-    deterministic for a given input but not sorted.
+    deterministic for a given input but not sorted.  The skin lets a list
+    outlive its configuration: npt.integrate reuses one list from step to
+    step, across cell rescales too, until a pair outside it could have come
+    within r_c, and the pair passes mask every pair to their own cutoff.
     """
 
     i: np.ndarray

@@ -368,7 +368,19 @@ class TestSimulate:
         assert code == 0
         rec = parse_records(out.read_text())
         assert len(rec["thermo"]) == 6    # step 0 plus 5 recorded steps
-        assert any(r[0] == "mean_pressure" for r in rec["stat"])
+        stats = {r[0]: r[1] for r in rec["stat"]}
+        assert "mean_pressure" in stats
+        # No barostat: no replans; the neighbor list is built at least once.
+        assert stats["full_replans"] == "0"
+        assert stats["replan_fallbacks"] == "0"
+        assert 1 <= int(stats["neighbor_rebuilds"]) <= 6
+
+    def test_zero_record_interval_is_runtime_error(self, capsys):
+        code, _ = run_cli("simulate", "--input",
+                          str(FIXTURES / "cluster64.txt"), "--n-steps", "5",
+                          "--record-every", "0")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: record_every")
 
     def test_seeded_runs_identical(self, tmp_path):
         argv = ("simulate", "--input", str(FIXTURES / "cluster64.txt"),

@@ -258,6 +258,44 @@ class TestLongRange:
         assert np.trace(p) == pytest.approx(trace_ref, rel=1e-12)
 
 
+class TestModeWorkspace:
+    @staticmethod
+    def reference(solver):
+        """fhat, dterm and w_inv2 mode by mode, straight from psi_series."""
+        spec, kern = solver.spec, solver.kern
+        lengths = np.diag(solver.cell.h)
+        m = np.meshgrid(*[np.fft.fftfreq(M, d=1.0 / M) for M in spec.M],
+                        indexing="ij")
+        k = np.stack([2.0 * np.pi * m[d] / lengths[d] for d in range(3)], axis=-1)
+        k2 = np.sum(k * k, axis=-1)
+        keep = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
+        k, k2 = k[keep], k2[keep]
+        b, sb = kern.basis, spec.spread_basis
+        x = np.minimum(np.sqrt(k2) * kern.r_c / b.c, 1.0)
+        pref = 2.0 * np.pi * b.lambda0 / b.C0
+        fhat = pref * b.psi_series(x) / k2
+        dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
+        what = np.prod([w * sb.lambda0 * sb.psi_series(np.clip(w * k[:, d] / sb.c, -1, 1))
+                        for d, w in enumerate(spec.omega)], axis=0)
+        return keep, fhat, dterm, 1.0 / what**2
+
+    @pytest.mark.parametrize("scale", [(1.01, 1.01, 1.01), (1.01, 0.995, 1.003)])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_rebind_matches_series(self, scale, pinned):
+        cell = Cell.orthorhombic((7.5, 7.5, 7.5))
+        solver = CoulombSolver(cell, EwaldParameters(r_c=2.2, delta_split=1e-4))
+        M0 = solver.spec.M
+        solver.rebind_cell(Cell.orthorhombic(7.5 * np.asarray(scale)),
+                           fixed_M=M0 if pinned else None)
+        if pinned:
+            assert solver.spec.M == M0
+        keep, fhat, dterm, w_inv2 = self.reference(solver)
+        m = solver.modes
+        np.testing.assert_array_equal(m.mask, keep)
+        for got, ref in ((m.fhat, fhat), (m.dterm, dterm), (m.w_inv2, w_inv2)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestLocalPressure:
     def test_zero_charges(self):
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from prolate_ewald import npt
 from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
 from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
                                ThermoRecord, barostat_step, integrate,
                                kinetic_temperature, maxwell_boltzmann_momenta,
                                softcore_interactions)
-from prolate_ewald.system import Cell, ParticleSystem, minimum_image
+from prolate_ewald.system import (Cell, ParticleSystem, build_cell_list,
+                                  minimum_image)
 
 
 def toy_system(n=32, L=8.0, seed=0, spacing=1.0):
@@ -37,7 +39,11 @@ def toy_config(**overrides):
 class TestConfig:
     def test_validation(self):
         for bad in (dict(dt=0.0), dict(dt=-1e-3), dict(tau_P=0.0),
-                    dict(beta_T=-0.1), dict(n_steps=-1)):
+                    dict(beta_T=-0.1), dict(n_steps=-1), dict(record_every=0),
+                    dict(record_every=-5), dict(thermostat_period=-1),
+                    dict(burn_in_fraction=1.5), dict(burn_in_fraction=1.0),
+                    dict(burn_in_fraction=-0.1), dict(softcore_cutoff=0.0),
+                    dict(softcore_cutoff=-1.0), dict(target_T=-0.5)):
             with pytest.raises(SimulationError):
                 toy_config(**bad)
 
@@ -268,3 +274,66 @@ class TestIntegrate:
         assert stats.stderr_pressure >= 0.0
         assert stats.mean_volume > 0.0
         assert isinstance(stats.records[0], ThermoRecord)
+
+
+class TestVerletList:
+    def watch(self, monkeypatch):
+        """Wrap npt._neighbors: record the pairs the list in use misses."""
+        seen = {"calls": 0, "missing": 0}
+        inner = npt._neighbors
+
+        def checked(state, reach):
+            nl = inner(state, reach)
+            fresh = build_cell_list(state.system, reach)
+            have = set(zip(nl.i.tolist(), nl.j.tolist()))
+            seen["missing"] += len(set(zip(fresh.i.tolist(), fresh.j.tolist())) - have)
+            seen["calls"] += 1
+            return nl
+
+        monkeypatch.setattr(npt, "_neighbors", checked)
+        return seen
+
+    def test_reused_list_holds_every_pair_in_reach(self, monkeypatch):
+        seen = self.watch(monkeypatch)
+        cfg = toy_config(dt=2e-3, n_steps=300, target_T=0.5, target_P0=1.1,
+                         tau_P=0.5, beta_T=0.2, thermostat_period=10,
+                         barostat=True, seed=5,
+                         ewald=EwaldParameters(r_c=2.2, delta_split=1e-4))
+        stats = integrate(cfg, toy_system(n=216, L=7.5, seed=7, spacing=2.0))
+        volumes = [r.volume for r in stats.records]
+        # The run must both expand and compress the box.
+        assert max(volumes) > volumes[0] > min(volumes)
+        assert seen["calls"] == cfg.n_steps + 1
+        assert seen["missing"] == 0
+        assert 1 <= stats.neighbor_rebuilds <= cfg.n_steps + 1
+        assert stats.neighbor_rebuilds < cfg.n_steps // 2
+
+    def test_cell_too_narrow_for_skin_rebuilds_every_step(self, monkeypatch):
+        # 0.49 L < r_c < 0.5 L: the cutoff fits the cell but no skin does.
+        seen = self.watch(monkeypatch)
+        cfg = toy_config(n_steps=5, ewald=EwaldParameters(r_c=1.5,
+                                                          delta_split=1e-4))
+        stats = integrate(cfg, toy_system(n=8, L=3.03, seed=4))
+        assert stats.neighbor_rebuilds == cfg.n_steps + 1
+        assert seen["missing"] == 0
+
+    def test_rescale_alone_triggers_rebuild(self):
+        # With the particles fixed in fractional coordinates only the
+        # barostat's rescale moves pairs: compressing by more than
+        # reach / (reach + skin) can bring a pair from outside the list
+        # into reach, so the list must be rebuilt there.
+        base = toy_system(n=216, L=7.5, seed=7, spacing=2.0)
+        state = NptState(system=base, solver=None)
+        reach = 2.2
+        npt._neighbors(state, reach)
+        for f in np.arange(0.99, 0.845, -0.01):
+            state.system = ParticleSystem(cell=Cell(h=f * base.cell.h),
+                                          positions=f * base.positions,
+                                          charges=base.charges)
+            nl = npt._neighbors(state, reach)
+            fresh = build_cell_list(state.system, reach)
+            missing = (set(zip(fresh.i.tolist(), fresh.j.tolist()))
+                       - set(zip(nl.i.tolist(), nl.j.tolist())))
+            assert not missing, (f, missing)
+        # 0.99 to 0.85 crosses reach / (reach + skin) = 1 / 1.1 once.
+        assert state.neighbor_rebuilds == 2

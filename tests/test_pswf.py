@@ -110,6 +110,21 @@ class TestEvalPsi0:
                   - basis_c10.psi_series(x - step)) / (2 * step)
             assert abs(basis_c10.psi_series(x, derivative=1) - fd) < 1e-8
 
+    @pytest.mark.parametrize("c", [0.5, 4.26, 12.02, 16.89, 21.69, 31.18,
+                                   35.89, 80.0])
+    def test_psi_and_slope_matches_series(self, c):
+        # The half-degree table in u = 2x^2 - 1 holds the same polynomials
+        # as the Legendre expansion, so only roundoff separates them.
+        basis = basis_for(c=c)
+        x = np.linspace(0.0, 1.0, 503)
+        psi, slope = basis.psi_and_slope(x)
+        scale = basis.psi0_at_zero
+        assert np.max(np.abs(psi - basis.psi_series(x))) <= 1e-13 * scale
+        assert np.max(np.abs(slope - x * basis.psi_series(x, derivative=1))) \
+            <= 1e-13 * scale
+        # Both are even in x.
+        np.testing.assert_array_equal(basis.psi_and_slope(-x)[0], psi)
+
 
 class TestSolveBandwidth:
     def test_round_trip(self):
