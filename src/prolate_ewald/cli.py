@@ -335,8 +335,6 @@ def cmd_compute(args) -> int:
 def cmd_local_pressure(args) -> int:
     cfg = resolve_config(args)
     sys = read_particles(args.input)
-    if not sys.cell.is_orthorhombic:
-        raise GeometryError("local-pressure requires an orthorhombic cell")
     params = ewald_params(cfg, sys.cell)
     solver = CoulombSolver(sys.cell, params)
     tensors = solver.local_pressure(sys)
@@ -361,25 +359,24 @@ def run_verification(sys: ParticleSystem, cfg: dict) -> list:
     delta = params.resolved()[0]
     reports = []
 
-    out = exact = evaluate_exact(sys, params)
-    if sys.cell.is_orthorhombic:
-        out = evaluate_system(sys, params)
-        reports.append(make_report("energy vs direct k-sum", exact.energy,
-                                   out.energy, delta))
-        # Force and pressure errors carry an O(1) constant over delta that
-        # depends on the charge configuration (coherent lattices are worst),
-        # so the audit checks order of magnitude rather than delta itself.
-        reports.append(make_report("forces vs direct k-sum", exact.forces,
-                                   out.forces, max(10 * delta, 1e-9)))
-        reports.append(make_report("pressure vs direct k-sum",
-                                   exact.pressure, out.pressure,
-                                   max(10 * delta, 1e-9)))
-        # The background energy scales as 1/V, so its pressure is U_bg/V;
-        # the virial identity covers the rest, and reads only its trace.
-        p_coulomb = out.pressure - (out.u_background
-                                    / sys.cell.volume) * np.eye(3)
-        reports.append(virial_audit(sys, p_coulomb, np.zeros((3, 3)),
-                                    out.u_near, out.u_far, out.u_self, delta))
+    exact = evaluate_exact(sys, params)
+    out = evaluate_system(sys, params)
+    reports.append(make_report("energy vs direct k-sum", exact.energy,
+                               out.energy, delta))
+    # Force and pressure errors carry an O(1) constant over delta that
+    # depends on the charge configuration (coherent lattices are worst),
+    # so the audit checks order of magnitude rather than delta itself.
+    reports.append(make_report("forces vs direct k-sum", exact.forces,
+                               out.forces, max(10 * delta, 1e-9)))
+    reports.append(make_report("pressure vs direct k-sum",
+                               exact.pressure, out.pressure,
+                               max(10 * delta, 1e-9)))
+    # The background energy scales as 1/V, so its pressure is U_bg/V;
+    # the virial identity covers the rest, and reads only its trace.
+    p_coulomb = out.pressure - (out.u_background
+                                / sys.cell.volume) * np.eye(3)
+    reports.append(virial_audit(sys, p_coulomb, np.zeros((3, 3)),
+                                out.u_near, out.u_far, out.u_self, delta))
 
     e_cl, f_cl, p_cl = classical_ewald(sys, check=True)
     pref = params.prefactor
@@ -458,8 +455,6 @@ def cmd_bench(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     sys = read_particles(args.input)
-    if not sys.cell.is_orthorhombic:
-        raise GeometryError("simulate requires an orthorhombic cell")
     params = ewald_params(cfg, sys.cell)
     ncfg = NptConfig(dt=cfg["dt"], n_steps=cfg["n_steps"],
                      target_T=cfg["target_t"], target_P0=cfg["target_p0"],

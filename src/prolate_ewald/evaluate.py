@@ -3,12 +3,12 @@
 CoulombSolver binds a parameter set to a cell: it builds the splitting
 basis, the real-space pair table, the mesh plan, and the mode workspace
 once, then evaluates energy, forces, and pressure tensors for any particle
-configuration in that cell.  Rebinding to a rescaled cell (NPT) reuses the
-bases and pair table since the cutoff and bandwidths do not change.
-evaluate_exact replaces the mesh by the exact mode sum and the pair table
-by the closed-form near field; it runs on any cell, triclinic included.
-Both paths share one final assembly of the near, far, self, and background
-terms.
+configuration in that cell, triclinic or orthorhombic.  Rebinding to a
+rescaled or sheared cell (NPT) reuses the bases and pair table since the
+cutoff and bandwidths do not change.  evaluate_exact, the reference,
+replaces the mesh by the exact mode sum and the pair table by the
+closed-form near field.  Both paths share one final assembly of the near,
+far, self, and background terms.
 """
 
 from __future__ import annotations
@@ -189,13 +189,7 @@ def evaluate_exact(sys: ParticleSystem,
 def evaluate_system(sys: ParticleSystem, params: EwaldParameters,
                     want_forces: bool = True,
                     want_pressure: bool = True) -> EnergyBreakdown:
-    """One-shot convenience wrapper for a single configuration.
-
-    Orthorhombic cells use the mesh; any other cell goes to evaluate_exact,
-    since the mesh cannot run there, and gets forces and pressure always.
-    """
-    if not sys.cell.is_orthorhombic:
-        return evaluate_exact(sys, params)
+    """One-shot mesh evaluation of a single configuration on any cell."""
     return CoulombSolver(sys.cell, params).evaluate(
         sys, want_forces=want_forces, want_pressure=want_pressure)
 

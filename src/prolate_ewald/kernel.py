@@ -21,10 +21,6 @@ class KernelError(Exception):
     pass
 
 
-class ZeroModeError(KernelError):
-    """The k = 0 mode is excluded under the conducting-boundary convention."""
-
-
 @dataclass(frozen=True)
 class SplitKernel:
     """Coulomb splitting at cutoff ``r_c`` using splitting bandwidth ``basis.c``."""
@@ -85,18 +81,6 @@ def mode_kernel(kern: SplitKernel, k2):
     return pref * psi / k2, pref * slope / k2**2
 
 
-def far_field_hat(kern: SplitKernel, k):
-    """Radial Fourier transform of the far field; zero beyond kmax = c/r_c."""
-    scalar = np.isscalar(k) or np.ndim(k) == 0
-    ka = np.atleast_1d(np.asarray(k, dtype=float))
-    if np.any(ka == 0.0):
-        raise ZeroModeError("k = 0 is excluded (conducting boundary convention)")
-    out = np.zeros_like(ka)
-    band = np.abs(ka) <= kern.kmax
-    out[band] = mode_kernel(kern, ka[band] ** 2)[0]
-    return float(out[0]) if scalar else out
-
-
 def fn_weight(kern: SplitKernel, r):
     """Radial force weight of the near field: F_N(r) = -r^2 d/dr near_field(r).
 
@@ -111,19 +95,6 @@ def fn_weight(kern: SplitKernel, r):
     val = 1.0 - eval_phi0(b, ra, kern.r_c) + (ra / (b.C0 * kern.r_c)) * b.psi_series(x)
     out = np.where(ra > kern.r_c, 0.0, val)
     return out if out.ndim else float(out)
-
-
-def pressure_kernel_hat(kern: SplitKernel, kvec) -> np.ndarray:
-    """Mode-by-mode 3x3 pressure kernel for a single wavevector."""
-    kv = np.asarray(kvec, dtype=float)
-    k2 = float(kv @ kv)
-    if k2 == 0.0:
-        raise ZeroModeError("k = 0 is excluded from the pressure kernel")
-    if np.sqrt(k2) > kern.kmax:
-        return np.zeros((3, 3))
-    fhat, dterm = mode_kernel(kern, k2)
-    kk = np.outer(kv, kv)
-    return fhat * (np.eye(3) - 2.0 * kk / k2) + dterm * kk
 
 
 def self_energy(kern: SplitKernel, charges) -> float:

@@ -9,9 +9,14 @@ inverse-transform and gather through the same stencil (forces, per-particle
 pressure).  forward_density returns the Fourier coefficients together with
 the stencil, so each configuration builds it exactly once.
 
+Any cell, triclinic or orthorhombic, takes the same path, as in smooth PME
+(Essmann et al., JCP 1995): the mesh is uniform in the fractional
+coordinates s = h^-1 r, node g sits at s = g / M, and the window is
+separable in s.  Grid index m is the wavevector k = 2 pi h^-T m.
+
 Conventions.  Continuum Fourier pair on the periodic cell:
 f_hat(k) = int f(r) exp(-i k r) dr,  f(r) = (1/V) sum_k f_hat(k) exp(i k r).
-Grid arrays relate by f_hat(k_m) = h_x h_y h_z * fftn(f)[m] (trapezoidal,
+Grid arrays relate by f_hat(k_m) = (V / prod M) * fftn(f)[m] (trapezoidal,
 exact for band-limited fields up to aliasing).
 """
 
@@ -57,25 +62,22 @@ class TransformProvider:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mesh geometry plus the spreading window for one orthorhombic cell."""
+    """Mesh counts plus the spreading window for one cell.
+
+    ``spacing`` is |a_d| / M_d, the node spacing along each cell vector a_d.
+    """
 
     M: tuple
     spacing: tuple
     P: int
-    omega: tuple
     spread_basis: PswfBasis
     window: WindowTable
     delta_spread: float
     oversampling: float
-    lengths: tuple
 
     @property
     def n_grid(self) -> int:
         return int(np.prod(self.M))
-
-    @property
-    def cell_volume_element(self) -> float:
-        return float(np.prod(self.spacing))
 
 
 def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
@@ -85,20 +87,20 @@ def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
               window: WindowTable | None = None) -> GridSpec:
     """Choose mesh sizes and build the spreading window.
 
-    M_d is the smallest even integer >= oversampling * kmax * L_d / pi,
-    unless ``fixed_M`` pins the counts (barostat replanning keeps the grid
-    fixed between replans).  Raises PlanningError naming the violated
-    invariant if the window band, Nyquist, or support constraints cannot
-    hold.
+    M_d is the smallest even integer >= oversampling * kmax * |a_d| / pi,
+    with |a_d| the length of cell vector d, unless ``fixed_M`` pins the
+    counts (barostat replanning keeps the grid fixed between replans).  A
+    mode |k| <= kmax has |m_d| = |a_d . k| / 2 pi <= kmax |a_d| / 2 pi, so
+    the Nyquist, band and support invariants read as in an orthorhombic
+    cell with L_d -> |a_d|.  Raises PlanningError naming the violated
+    invariant if they cannot hold.
     """
-    if not cell.is_orthorhombic:
-        raise PlanningError("mesh pipeline requires an orthorhombic cell")
     if oversampling < 1.0:
         raise PlanningError("oversampling factor must be >= 1")
     if P < 2:
         raise PlanningError("spreading order P must be >= 2")
 
-    lengths = np.diag(cell.h)
+    lengths = np.linalg.norm(cell.h, axis=0)
     kmax = kern.kmax
     if fixed_M is not None:
         M = np.asarray(fixed_M, dtype=int)
@@ -126,8 +128,8 @@ def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
                 f"decrease P or delta_spread, or increase oversampling")
         if 2.0 * omega[d] >= lengths[d]:
             raise PlanningError(
-                f"window support 2*omega={2 * omega[d]:.4g} not below box "
-                f"length {lengths[d]:.4g} in dimension {d}")
+                f"window support 2*omega={2 * omega[d]:.4g} not below cell "
+                f"vector length {lengths[d]:.4g} in dimension {d}")
 
     if window is None:
         window = tabulate_window(spread_basis, P)
@@ -135,11 +137,9 @@ def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
         raise PlanningError("supplied window table does not match P and basis")
     return GridSpec(M=tuple(int(m) for m in M),
                     spacing=tuple(float(s) for s in spacing),
-                    P=int(P), omega=tuple(float(w) for w in omega),
-                    spread_basis=spread_basis, window=window,
+                    P=int(P), spread_basis=spread_basis, window=window,
                     delta_spread=float(delta_spread),
-                    oversampling=float(oversampling),
-                    lengths=tuple(float(x) for x in lengths))
+                    oversampling=float(oversampling))
 
 
 @dataclass(frozen=True)
@@ -148,15 +148,17 @@ class SpectralDensity:
 
     ``values`` holds rho_hat(k_m) with continuum normalization.  ``flat`` and
     ``weights`` (N x P^3) are every particle's stencil nodes as flat grid
-    indices and their window products W(t_x) W(t_y) W(t_z); ``offsets``
+    indices and their window products W(t_1) W(t_2) W(t_3); ``offsets``
     (N x 3) are the fractional offsets that set the window at the nodes.
-    Every gather of the configuration goes through this one stencil.
+    ``cell`` is the cell of the configuration.  Every gather of the
+    configuration goes through this one stencil.
     """
 
     values: np.ndarray
     flat: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
+    cell: Cell
 
     def gather(self, field: np.ndarray) -> np.ndarray:
         """sum over the stencil of field(r_g) W(r_g - r_j), per particle."""
@@ -166,10 +168,11 @@ class SpectralDensity:
         """sum over the stencil of field(r_g) grad_j W(r_j - r_g) (N x 3).
 
         The window and its gradient come from the offsets; the P^3 weight
-        products are never formed for the gradient.
+        products are never formed for the gradient.  The gradient in grid
+        units u = M s maps to Cartesian through du/dr = diag(M) h^-1.
         """
         w = spec.window(self.offsets)
-        dw = spec.window(self.offsets, derivative=1) / np.asarray(spec.spacing)[:, None]
+        dw = spec.window(self.offsets, derivative=1)
         P = spec.P
         vals = field.reshape(-1)[self.flat].reshape(-1, P, P, P)
         out = np.empty((vals.shape[0], 3))
@@ -177,22 +180,22 @@ class SpectralDensity:
             factors = [dw[:, e] if e == d else w[:, e] for e in range(3)]
             out[:, d] = np.einsum("nabc,na,nb,nc->n", vals, *factors,
                                   optimize=True)
-        return out
+        return out @ (np.asarray(spec.M)[:, None] * self.cell.inverse)
 
 
 def _window_weights(sys: ParticleSystem, spec: GridSpec):
     """The stencil of one configuration, for spreading and every gather.
 
-    Along each axis a particle at u = x/h (grid units) covers the P nodes
-    first, ..., first + P - 1 with first = floor(u - P/2) + 1: odd P centres
-    the stencil on the nearest node, even P on the midpoint of the two
-    nearest.  Node j sits at t_j = P/2 - 1 - j + f from the particle, with
+    Along each axis a particle at u = M s (grid units, s its fractional
+    coordinate) covers the P nodes first, ..., first + P - 1 with
+    first = floor(u - P/2) + 1: odd P centres the stencil on the nearest
+    node, even P on the midpoint of the two nearest.  Node j sits at t_j = P/2 - 1 - j + f from the particle, with
     f = frac(u - P/2), so the window table gives all P weights from f.
     Returns the flat node indices and the weight products, both N x P^3 and
     C-contiguous, and the offsets f (N x 3).
     """
     P, M = spec.P, spec.M
-    a = sys.positions / np.asarray(spec.spacing) - P / 2.0
+    a = sys.cell.fractional(sys.positions) * M - P / 2.0
     below = np.floor(a)
     offsets = a - below
     w = spec.window(offsets)
@@ -224,9 +227,9 @@ def forward_density(sys: ParticleSystem, spec: GridSpec,
     """Build the stencil, spread and forward-transform (continuum normalized)."""
     flat, weights, offsets = _window_weights(sys, spec)
     rho = _deposit(flat, weights, sys.charges, spec.M)
-    rho_hat = provider.forward(rho) * spec.cell_volume_element
+    rho_hat = provider.forward(rho) * (sys.cell.volume / spec.n_grid)
     return SpectralDensity(values=rho_hat, flat=flat, weights=weights,
-                           offsets=offsets)
+                           offsets=offsets, cell=sys.cell)
 
 
 class ModeWorkspace:
@@ -238,28 +241,29 @@ class ModeWorkspace:
     """
 
     def __init__(self, spec: GridSpec, kern: SplitKernel, cell: Cell):
-        if not cell.is_orthorhombic:
-            raise PlanningError("mesh pipeline requires an orthorhombic cell")
-        lengths = np.diag(cell.h)
         self.volume = cell.volume
-        ks = [2.0 * np.pi * np.fft.fftfreq(spec.M[d], d=1.0 / spec.M[d]) / lengths[d]
-              for d in range(3)]
-        kx = ks[0][:, None, None]
-        ky = ks[1][None, :, None]
-        kz = ks[2][None, None, :]
-        k2 = kx**2 + ky**2 + kz**2
+        # k = B m with B = 2 pi h^-T, so k^2 = m^T G m with the metric
+        # G = B^T B, summed on the grid from the per-axis indices m_d.
+        B = cell.reciprocal
+        G = B.T @ B
+        ms = [np.fft.fftfreq(M, d=1.0 / M) for M in spec.M]
+        axes = [m.reshape([-1 if e == d else 1 for e in range(3)])
+                for d, m in enumerate(ms)]
+        k2 = sum(G[d, e] * (1.0 if d == e else 2.0) * axes[d] * axes[e]
+                 for d in range(3) for e in range(d, 3))
         mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         self.mask = mask
         index = np.nonzero(mask)
-        self.kvec = [k[i] for k, i in zip(ks, index)]
+        self.kvec = list(B @ np.stack([m[i] for m, i in zip(ms, index)]))
         self.k2 = k2[mask]
 
-        # The window is separable, so its transform is
-        # prod_d omega_d lambda0 psi_0(omega_d k_d / c): psi_0 is read once
-        # per axis wavenumber (sum of M_d arguments, one call), not three
-        # times per retained mode.
+        # The window is separable in s, so its transform at k = B m is
+        # V prod_d (P/2M_d) lambda0 psi_0(pi P m_d / (M_d c)), whatever the
+        # cell shape: psi_0 is read once per axis index (sum of M_d
+        # arguments, one call), not three times per retained mode.
         sb = spec.spread_basis
-        arg = np.concatenate([w * k for w, k in zip(spec.omega, ks)]) / sb.c
+        arg = np.concatenate([np.pi * spec.P * m / M
+                              for m, M in zip(ms, spec.M)]) / sb.c
         psi, _ = sb.psi_and_slope(np.clip(arg, -1.0, 1.0))
         tables = np.split(psi, np.cumsum(spec.M)[:2])
         px, py, pz = (t[i] for t, i in zip(tables, index))
@@ -268,7 +272,8 @@ class ModeWorkspace:
             raise PlanningError(
                 "window transform underflow on a retained mode; the plan does "
                 "not cover the kernel band")
-        self.w_inv2 = 1.0 / (np.prod(spec.omega) * sb.lambda0**3 * psi3) ** 2
+        width = cell.volume * np.prod(spec.P / (2.0 * np.asarray(spec.M)))
+        self.w_inv2 = 1.0 / (width * sb.lambda0**3 * psi3) ** 2
         self.fhat, self.dterm = mode_kernel(kern, self.k2)
 
     def pressure_kernel_component(self, a: int, b: int) -> np.ndarray:
@@ -309,11 +314,12 @@ def long_range_pressure(rho_hat: SpectralDensity, kern: SplitKernel,
 
 def _inverse_field(coefficients: np.ndarray, m: ModeWorkspace, spec: GridSpec,
                    provider: TransformProvider) -> np.ndarray:
-    """Real grid field of retained-mode coefficients, times h^3.
+    """Real grid field of retained-mode coefficients, times V / prod M.
 
-    The field itself is the inverse transform over h^3 (1/V convention); the
-    trapezoidal gather weighs it by h^3, so neither factor is applied.  Only
-    the real part is kept, so the complex grids are freed before the gather.
+    The field itself is the inverse transform over V / prod M (1/V
+    convention); the trapezoidal gather weighs it by V / prod M, so neither
+    factor is applied.  Only the real part is kept, so the complex grids
+    are freed before the gather.
     """
     spec_arr = np.zeros(spec.M, dtype=complex)
     spec_arr[m.mask] = coefficients

@@ -165,7 +165,7 @@ def _neighbors(state: NptState, reach: float) -> NeighborList:
         mapped = origin.cell.cartesian(sys.cell.fractional(sys.positions))
         moved = minimum_image(origin.cell, mapped - origin.positions)
         d_max = np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))
-        sigma = np.linalg.svd(sys.cell.h @ np.linalg.inv(origin.cell.h),
+        sigma = np.linalg.svd(sys.cell.h @ origin.cell.inverse,
                               compute_uv=False)[-1]
         if sigma * (reach + nl.skin - 2.0 * d_max) >= reach:
             return nl

@@ -1,4 +1,8 @@
-"""Particle and cell data model: triclinic cells, wrapping, neighbor search."""
+"""Particle and cell data model: triclinic cells, wrapping, neighbor search.
+
+Every cell is triclinic in general; orthorhombic cells are the diagonal
+special case and differ only in how build_cell_list searches for pairs.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ class Cell:
 
     h: np.ndarray
     volume: float = field(init=False)
+    inverse: np.ndarray = field(init=False)
     reciprocal: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -40,8 +45,10 @@ class Cell:
         det = np.linalg.det(h)
         if det <= 0.0:
             raise CellError("cell matrix must be right-handed with positive volume")
+        inverse = np.linalg.inv(h)
         object.__setattr__(self, "volume", float(det))
-        object.__setattr__(self, "reciprocal", reciprocal_basis(h))
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "reciprocal", 2.0 * np.pi * inverse.T)
 
     @classmethod
     def orthorhombic(cls, lengths) -> "Cell":
@@ -58,7 +65,7 @@ class Cell:
         return 2.0 * np.pi / np.linalg.norm(b, axis=0)
 
     def fractional(self, positions: np.ndarray) -> np.ndarray:
-        return np.asarray(positions) @ np.linalg.inv(self.h).T
+        return np.asarray(positions) @ self.inverse.T
 
     def cartesian(self, fractional: np.ndarray) -> np.ndarray:
         return np.asarray(fractional) @ self.h.T
@@ -159,17 +166,24 @@ def check_cutoff(cell: Cell, r_c: float) -> None:
             f"{0.5 * np.min(cell.perpendicular_widths())}")
 
 
-def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> NeighborList:
-    """Cell-list pair enumeration under the minimum-image convention.
+# One of each pair of opposite lattice shifts n != 0 in {-1, 0, 1}^3: the
+# first nonzero component is positive.
+_HALF_SHELL = np.array([n for n in product((-1, 0, 1), repeat=3)
+                        if n > (0, 0, 0)])
 
-    Each unordered pair within r_c + skin appears exactly once; no pair
-    beyond r_c + skin is kept.
+
+def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> NeighborList:
+    """Pairs within reach = r_c + skin under the minimum-image convention.
+
+    Each unordered pair within reach appears exactly once; no pair beyond
+    reach is kept.  check_cutoff holds reach below half of every
+    perpendicular width w_d, so at most one image of a pair lies within
+    reach, and its fractional components lie in (-1/2, 1/2): the image is
+    r_j - r_i + h n with n in {-1, 0, 1}^3 for wrapped positions.
     """
-    check_cutoff(sys.cell, r_c)
     reach = r_c + skin
+    check_cutoff(sys.cell, reach)
     if sys.cell.is_orthorhombic:
-        # Periodic k-d tree is exact for the minimum image once the reach is
-        # below half the box (guaranteed by check_cutoff above).
         lengths = np.diag(sys.cell.h)
         pos = np.minimum(sys.positions, np.nextafter(lengths, 0.0))
         tree = cKDTree(np.maximum(pos, 0.0), boxsize=lengths)
@@ -177,56 +191,26 @@ def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> Neigh
         return NeighborList(i=pairs[:, 0], j=pairs[:, 1], r_c=float(r_c),
                             skin=float(skin))
 
-    widths = sys.cell.perpendicular_widths()
-    nbins = np.maximum(np.floor(widths / reach).astype(int), 1)
-    nbins = np.minimum(nbins, 8)  # marginal benefit beyond this at desk scale
-
-    frac = sys.cell.fractional(sys.positions)
-    frac -= np.floor(frac)
-    bins = np.minimum((frac * nbins).astype(int), nbins - 1)
-    flat = (bins[:, 0] * nbins[1] + bins[:, 1]) * nbins[2] + bins[:, 2]
-
-    members: dict[int, np.ndarray] = {}
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    starts = np.searchsorted(sorted_flat, np.arange(nbins.prod() + 1))
-    for b in range(nbins.prod()):
-        if starts[b + 1] > starts[b]:
-            members[b] = order[starts[b]:starts[b + 1]]
-
-    pairs_i, pairs_j = [], []
-    seen = set()
-    hinv = np.linalg.inv(sys.cell.h)
-    for b, idx_a in members.items():
-        bx, rem = divmod(b, nbins[1] * nbins[2])
-        by, bz = divmod(rem, nbins[2])
-        for ox, oy, oz in product((-1, 0, 1), repeat=3):
-            nb = ((bx + ox) % nbins[0] * nbins[1] + (by + oy) % nbins[1]) * nbins[2] \
-                + (bz + oz) % nbins[2]
-            if nb not in members:
-                continue
-            key = (min(b, nb), max(b, nb))
-            if key in seen:
-                continue
-            seen.add(key)
-            idx_b = members[nb]
-            if b == nb:
-                ii, jj = np.triu_indices(idx_a.size, k=1)
-                ci, cj = idx_a[ii], idx_a[jj]
-            else:
-                ci = np.repeat(idx_a, idx_b.size)
-                cj = np.tile(idx_b, idx_a.size)
-            dr = sys.positions[ci] - sys.positions[cj]
-            s = dr @ hinv.T
-            s -= np.floor(s + 0.5)
-            dr = s @ sys.cell.h.T
-            keep = np.einsum("ij,ij->i", dr, dr) <= reach * reach
-            pairs_i.append(np.minimum(ci[keep], cj[keep]))
-            pairs_j.append(np.maximum(ci[keep], cj[keep]))
-
-    if pairs_i:
-        i = np.concatenate(pairs_i)
-        j = np.concatenate(pairs_j)
-    else:
-        i = j = np.empty(0, dtype=int)
+    # Pairs inside the cell (n = 0) come from one tree of the positions.
+    # A pair across faces pairs r_i with the ghost r_j + h n of one of the
+    # 13 half-shell shifts n (the opposite shift gives the same pair with
+    # i and j swapped).  A ghost within reach of the cell lies within
+    # reach / w_d of each face that n crosses, so only those particles get
+    # ghosts, and one tree of all ghosts finds every cross-face pair.
+    cell = sys.cell
+    tree = cKDTree(sys.positions)
+    inner = tree.query_pairs(reach, output_type="ndarray")
+    frac = cell.fractional(sys.positions)
+    band = reach / cell.perpendicular_widths()
+    near_low, near_high = frac <= band, frac >= 1.0 - band
+    ghosts = [np.flatnonzero(np.all((n <= 0) | near_low, axis=1)
+                             & np.all((n >= 0) | near_high, axis=1))
+              for n in _HALF_SHELL]
+    owner = np.concatenate(ghosts)
+    shift = np.repeat(_HALF_SHELL @ cell.h.T, [g.size for g in ghosts], axis=0)
+    cross = tree.sparse_distance_matrix(
+        cKDTree(sys.positions[owner] + shift), reach, output_type="ndarray")
+    ci, cj = cross["i"], owner[cross["j"]]
+    i = np.concatenate([inner[:, 0], np.minimum(ci, cj)])
+    j = np.concatenate([inner[:, 1], np.maximum(ci, cj)])
     return NeighborList(i=i, j=j, r_c=float(r_c), skin=float(skin))

@@ -224,7 +224,8 @@ def test_pressure_is_energy_derivative(coupling):
     assert report.passed, report
 
 
-def test_pressure_is_cell_derivative_triclinic():
+def triclinic_toy():
+    """12 neutral ions in a sheared cell, and their fractional coordinates."""
     rng = np.random.default_rng(14)
     h = np.diag(rng.uniform(5.0, 8.0, 3))
     h[0, 1] = 0.05 * h[1, 1]
@@ -234,8 +235,12 @@ def test_pressure_is_cell_derivative_triclinic():
     frac = rng.uniform(0.0, 1.0, (12, 3))
     q = rng.uniform(0.5, 1.5, 12) * np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
     q -= q.mean()
-    sys = ParticleSystem(cell=cell, positions=frac @ h.T, charges=q)
+    return ParticleSystem(cell=cell, positions=frac @ h.T, charges=q), frac
 
+
+def test_pressure_is_cell_derivative_triclinic():
+    sys, frac = triclinic_toy()
+    q = sys.charges
     kern = kernel_for(1e-6, 1.3)
     _, _, p_far = direct_ksum(sys, kern)
 
@@ -245,6 +250,28 @@ def test_pressure_is_cell_derivative_triclinic():
         return direct_ksum(probe, kern)[0]
 
     report = fd_pressure_check(sys, energy_of_cell, p_far,
+                               coupling="flexible", tolerance=1e-5)
+    assert report.passed, report
+
+
+def test_mesh_pressure_is_cell_derivative_triclinic():
+    # The mesh twin of the test above, with the near field and self terms
+    # included.  The grid counts stay pinned, so every probe cell is
+    # spread on the same fractional grid.
+    sys, frac = triclinic_toy()
+    solver = CoulombSolver(sys.cell, EwaldParameters(
+        r_c=1.3, delta_split=1e-6, oversampling=2.0))
+    grid = solver.spec.M
+    pressure = solver.evaluate(sys, want_forces=False).pressure
+
+    def energy_of_cell(hmat):
+        probe = ParticleSystem(cell=Cell(h=hmat), positions=frac @ hmat.T,
+                               charges=sys.charges)
+        solver.rebind_cell(probe.cell, fixed_M=grid)
+        return solver.evaluate(probe, want_forces=False,
+                               want_pressure=False).energy
+
+    report = fd_pressure_check(sys, energy_of_cell, pressure,
                                coupling="flexible", tolerance=1e-5)
     assert report.passed, report
 

@@ -309,6 +309,13 @@ class TestVerify:
         assert all(r[0] == "pass" for r in rec["report"])
         assert rec["verify"][0][0] == "pass"
 
+    def test_triclinic_runs_every_check(self, tmp_path):
+        code, text = run_cli("verify", "--input", str(sheared_cluster(tmp_path)),
+                             "--delta-split", "1e-5", "--oversampling", "2.0",
+                             "--r-c", "2.8")
+        assert code == 0, text
+        assert "verify pass 7 checks" in text
+
     def test_failure_exit_code(self, tmp_path, monkeypatch):
         # Corrupt tolerance path: force an impossible tolerance through a
         # tiny delta with loose oversampling cannot be done honestly, so
@@ -317,6 +324,29 @@ class TestVerify:
         path.write_text("cell 5 5 5\nnot numbers at all\n")
         code, _ = run_cli("verify", "--input", str(path))
         assert code == 2
+
+
+def summed_local(rec):
+    """Sum of the per-particle ``local`` tensors of a local-pressure run."""
+    total = np.zeros((3, 3))
+    for row in rec["local"]:
+        t = np.zeros((3, 3))
+        t[np.triu_indices(3)] = [float(v) for v in row[1:]]
+        total += t + np.triu(t, 1).T
+    return total
+
+
+def sheared_cluster(tmp_path):
+    """fixtures/cluster64.txt at the same fractional positions in a sheared cell."""
+    base = read_particles(FIXTURES / "cluster64.txt")
+    h = base.cell.h.copy()
+    h[0, 1], h[0, 2], h[1, 2] = 1.4, -0.7, 0.9
+    sheared = ParticleSystem(cell=Cell(h=h),
+                             positions=base.cell.fractional(base.positions) @ h.T,
+                             charges=base.charges, masses=base.masses)
+    path = tmp_path / "sheared.txt"
+    write_particles(path, sheared)
+    return path
 
 
 class TestLocalPressure:
@@ -328,22 +358,22 @@ class TestLocalPressure:
         rec = parse_records(text)
         # Reconstruct the per-particle sum and compare with the emitted
         # global far-field rows.
-        total = np.zeros((3, 3))
-        for row in rec["local"]:
-            vals = [float(v) for v in row[1:]]
-            t = np.zeros((3, 3))
-            t[np.triu_indices(3)] = vals
-            t = t + np.triu(t, 1).T
-            total += t
         emitted = np.array([[float(v) for v in r[1:]]
                             for r in rec["pressure-far"]])
-        np.testing.assert_allclose(total, emitted, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(summed_local(rec), emitted, rtol=1e-10,
+                                   atol=1e-14)
 
-    def test_triclinic_rejected(self, tmp_path):
+    def test_triclinic_sums_match_far_field(self, tmp_path):
         path = tmp_path / "tri.txt"
         path.write_text("cell3 6 0 0 0.3 6 0 0 0 6\n2 3 3 1 1\n3 3 3 -1 1\n")
-        code, _ = run_cli("local-pressure", "--input", str(path))
-        assert code == 3
+        code, text = run_cli("local-pressure", "--input", str(path))
+        assert code == 0
+        rec = parse_records(text)
+        emitted = np.array([[float(v) for v in r[1:]]
+                            for r in rec["pressure-far"]])
+        assert np.any(emitted != 0.0)
+        np.testing.assert_allclose(summed_local(rec), emitted, rtol=1e-10,
+                                   atol=1e-14)
 
 
 class TestBench:
@@ -374,6 +404,16 @@ class TestSimulate:
         assert stats["full_replans"] == "0"
         assert stats["replan_fallbacks"] == "0"
         assert 1 <= int(stats["neighbor_rebuilds"]) <= 6
+
+    def test_triclinic_run(self, tmp_path):
+        code, text = run_cli("simulate", "--input", str(sheared_cluster(tmp_path)),
+                             "--n-steps", "3", "--dt", "1e-3",
+                             "--target-t", "0.5", "--record-every", "1",
+                             "--delta-split", "1e-3", "--r-c", "1.6")
+        assert code == 0
+        rec = parse_records(text)
+        assert len(rec["thermo"]) == 4
+        assert all(np.isfinite(float(v)) for row in rec["thermo"] for v in row)
 
     def test_zero_record_interval_is_runtime_error(self, capsys):
         code, _ = run_cli("simulate", "--input",

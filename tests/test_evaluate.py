@@ -1,4 +1,4 @@
-"""Evaluation paths: the mesh solver, the exact path, and their routing."""
+"""Evaluation paths: the mesh solver and the exact reference path."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
                            ParticleSystem, evaluate_exact, evaluate_system)
 from prolate_ewald.evaluate import ParameterError
-from prolate_ewald.mesh import PlanningError
 
 from conftest import random_neutral_system
 
@@ -61,12 +60,25 @@ class TestExactPath:
         np.testing.assert_allclose(exact.pressure, mesh.pressure,
                                    atol=1e-5 * np.abs(exact.pressure).max())
 
-    def test_triclinic_routed_to_exact(self):
+    @pytest.mark.parametrize("force_mode", ["ik", "analytic"])
+    def test_triclinic_mesh_agrees_with_exact(self, force_mode):
+        # The tolerances of test_mesh_agrees_with_exact, with two measured
+        # exceptions.  E of these 16 ions cancels to 0.11 |U_self|, so the
+        # energy error is scaled by |U_self| (1.3e-7 here, and in the
+        # orthorhombic cell of the same fractional positions).  Analytic
+        # differentiation gathers the window gradient, whose aliasing puts
+        # its forces 1.5e-5 of max|F| off here (1.4e-5 orthorhombic, 4e-5
+        # on the system of test_mesh_agrees_with_exact), against 2e-7 for ik.
         sys = triclinic_system()
-        params = EwaldParameters(r_c=2.5, delta_split=1e-6)
-        routed = evaluate_system(sys, params, want_forces=False)
+        params = EwaldParameters(r_c=2.5, delta_split=1e-6, oversampling=2.0,
+                                 prefactor=1.7, force_mode=force_mode)
+        mesh = evaluate_system(sys, params)
         exact = evaluate_exact(sys, params)
-        assert routed.energy == exact.energy
-        np.testing.assert_array_equal(routed.pressure, exact.pressure)
-        with pytest.raises(PlanningError, match="orthorhombic"):
-            CoulombSolver(sys.cell, params)
+        assert exact.u_self == mesh.u_self
+        assert exact.u_background == mesh.u_background != 0.0
+        assert abs(exact.energy - mesh.energy) <= 1e-6 * abs(exact.u_self)
+        force_tol = 1e-5 if force_mode == "ik" else 1e-4
+        np.testing.assert_allclose(exact.forces, mesh.forces,
+                                   atol=force_tol * np.abs(exact.forces).max())
+        np.testing.assert_allclose(exact.pressure, mesh.pressure,
+                                   atol=1e-5 * np.abs(exact.pressure).max())

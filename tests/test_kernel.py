@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prolate_ewald.kernel import (KernelError, SplitKernel, ZeroModeError,
+from prolate_ewald.kernel import (KernelError, SplitKernel,
                                   background_correction, background_integral,
-                                  far_field, far_field_hat, fn_weight,
-                                  near_field, pressure_kernel_hat,
-                                  self_energy)
+                                  far_field, fn_weight, mode_kernel,
+                                  near_field, self_energy)
 from prolate_ewald.pswf import DomainError, eval_phi0
 from conftest import basis_for, kernel_for
 
@@ -18,6 +17,20 @@ R_C = 0.9
 @pytest.fixture(scope="module")
 def kern():
     return SplitKernel(basis=basis_for(c=12.0), r_c=R_C)
+
+
+def fhat(kern, k):
+    """Far-field transform at wavenumber k, 0 < k <= kmax."""
+    return float(mode_kernel(kern, np.array([k * k]))[0][0])
+
+
+def pressure_kernel(kern, kvec):
+    """3x3 pressure kernel of one in-band mode, as mode_kernel documents it."""
+    kv = np.asarray(kvec, dtype=float)
+    k2 = float(kv @ kv)
+    (f,), (dterm,) = mode_kernel(kern, np.array([k2]))
+    kk = np.outer(kv, kv)
+    return f * (np.eye(3) - 2.0 * kk / k2) + dterm * kk
 
 
 class TestSplitIdentity:
@@ -81,15 +94,8 @@ class TestFarField:
 class TestFarFieldHat:
     def test_small_k_limit(self, kern):
         k = 1e-4 * kern.kmax
-        assert far_field_hat(kern, k) * k**2 / (4 * np.pi) == pytest.approx(
+        assert fhat(kern, k) * k**2 / (4 * np.pi) == pytest.approx(
             1.0, abs=1e-6)
-
-    def test_band_limit(self, kern):
-        assert far_field_hat(kern, 1.01 * kern.kmax) == 0.0
-
-    def test_zero_mode_error(self, kern):
-        with pytest.raises(ZeroModeError):
-            far_field_hat(kern, 0.0)
 
     def test_against_radial_fourier_transform(self, kern):
         # fhat(k) = (4 pi / k) [ int_0^{r_c} sin(kr) phi0(r) dr
@@ -99,7 +105,7 @@ class TestFarFieldHat:
                         * eval_phi0(kern.basis, r, R_C),
                         0.0, R_C, epsabs=1e-13, epsrel=1e-13, limit=200)
         ref = 4 * np.pi / k * (inner + np.cos(k * R_C) / k)
-        assert far_field_hat(kern, k) == pytest.approx(ref, rel=1e-8)
+        assert fhat(kern, k) == pytest.approx(ref, rel=1e-8)
 
 
 class TestFnWeight:
@@ -127,30 +133,26 @@ class TestFnWeight:
 
 class TestPressureKernelHat:
     def test_axis_aligned_is_diagonal(self, kern):
-        t = pressure_kernel_hat(kern, [0.5 * kern.kmax, 0.0, 0.0])
+        t = pressure_kernel(kern, [0.5 * kern.kmax, 0.0, 0.0])
         off = t - np.diag(np.diag(t))
         assert np.max(np.abs(off)) == 0.0
-
-    def test_zero_beyond_band(self, kern):
-        t = pressure_kernel_hat(kern, np.array([1.0, 1.0, 1.0]) * kern.kmax)
-        assert np.all(t == 0.0)
 
     def test_trace_recomposition(self, kern):
         kv = np.array([0.4, 0.3, 0.2]) * kern.kmax
         k = np.linalg.norm(kv)
         b = kern.basis
         x = k * R_C / b.c
-        expected = (far_field_hat(kern, k)
+        expected = (fhat(kern, k)
                     + 2 * np.pi * b.lambda0 / b.C0 * x
                     * b.psi_series(x, derivative=1) / k**2)
-        assert np.trace(pressure_kernel_hat(kern, kv)) == pytest.approx(
+        assert np.trace(pressure_kernel(kern, kv)) == pytest.approx(
             expected, rel=1e-12)
 
     def test_symmetry_and_reflection(self, kern):
         kv = np.array([0.3, -0.2, 0.45]) * kern.kmax
-        t = pressure_kernel_hat(kern, kv)
+        t = pressure_kernel(kern, kv)
         np.testing.assert_allclose(t, t.T, atol=0)
-        np.testing.assert_allclose(t, pressure_kernel_hat(kern, -kv), atol=0)
+        np.testing.assert_allclose(t, pressure_kernel(kern, -kv), atol=0)
 
     def test_trace_isotropy(self, kern):
         k = 0.55 * kern.kmax
@@ -159,12 +161,8 @@ class TestPressureKernelHat:
         for _ in range(5):
             v = rng.standard_normal(3)
             v *= k / np.linalg.norm(v)
-            traces.append(np.trace(pressure_kernel_hat(kern, v)))
+            traces.append(np.trace(pressure_kernel(kern, v)))
         assert np.max(traces) - np.min(traces) <= 1e-12 * abs(np.mean(traces))
-
-    def test_zero_mode_error(self, kern):
-        with pytest.raises(ZeroModeError):
-            pressure_kernel_hat(kern, [0.0, 0.0, 0.0])
 
 
 class TestSelfEnergy:

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prolate_ewald import mesh
-from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
+from prolate_ewald.evaluate import CoulombSolver, EwaldParameters, evaluate_system
 from prolate_ewald.kernel import SplitKernel
 from prolate_ewald.mesh import (MeshError, ModeWorkspace,
                                 PlanningError, TransformProvider,
@@ -35,17 +36,24 @@ def make_plan(delta, r_c, lengths, P=None, oversampling=2.0):
     return cell, kern, spec
 
 
+def window_widths(cell, spec):
+    """Half-width omega_d = P L_d / 2 M_d of the window in an orthorhombic cell."""
+    return spec.P * np.diag(cell.h) / (2.0 * np.asarray(spec.M))
+
+
 class TestPlanGrid:
     def test_published_spacing_moderate(self):
         cell, kern, spec = make_plan(4e-4, 0.9, [3.0, 3.0, 3.0], P=5,
                                      oversampling=1.0)
-        increment = spec.lengths[0] / spec.M[0] - spec.lengths[0] / (spec.M[0] + 2)
+        L = cell.h[0, 0]
+        increment = L / spec.M[0] - L / (spec.M[0] + 2)
         assert abs(spec.spacing[0] - 0.26) <= increment
 
     def test_published_spacing_tight(self):
         cell, kern, spec = make_plan(2e-5, 0.9, [3.0, 3.0, 3.0], P=6,
                                      oversampling=1.0)
-        increment = spec.lengths[0] / spec.M[0] - spec.lengths[0] / (spec.M[0] + 2)
+        L = cell.h[0, 0]
+        increment = L / spec.M[0] - L / (spec.M[0] + 2)
         assert abs(spec.spacing[0] - 0.2) <= increment
 
     def test_unit_oversampling_is_near_nyquist(self):
@@ -55,7 +63,7 @@ class TestPlanGrid:
             h = spec.spacing[d]
             assert np.pi / h >= kern.kmax
             # One fewer grid pair would violate Nyquist.
-            h_coarser = spec.lengths[d] / (spec.M[d] - 2)
+            h_coarser = cell.h[d, d] / (spec.M[d] - 2)
             assert np.pi / h_coarser < kern.kmax or spec.M[d] <= 2
 
     def test_counts_even(self):
@@ -89,9 +97,6 @@ class TestPlanGrid:
             plan_grid(cell, kern, delta_spread=1e-4, P=5, oversampling=0.5)
         with pytest.raises(PlanningError):
             plan_grid(cell, kern, delta_spread=1e-4, P=1)
-        h = np.array([[6.0, 0.5, 0.0], [0.0, 6.0, 0.0], [0.0, 0.0, 6.0]])
-        with pytest.raises(PlanningError):
-            plan_grid(Cell(h=h), kern, delta_spread=1e-4, P=5)
 
     def test_window_support_guard(self):
         # A tiny box cannot hold the spreading window.
@@ -150,9 +155,10 @@ class TestSpreadCharges:
         cell, kern, spec = make_plan(1e-8, 1.0, [6.0, 6.0, 6.0])
         sys = self.one_particle([1.234, 2.345, 3.456])
         rho = spread_charges(sys, spec)
-        total = float(rho.sum()) * spec.cell_volume_element
+        total = float(rho.sum()) * cell.volume / spec.n_grid
         sb = spec.spread_basis
-        w0 = np.prod([w * sb.lambda0 * sb.psi0_at_zero for w in spec.omega])
+        w0 = np.prod([w * sb.lambda0 * sb.psi0_at_zero
+                      for w in window_widths(cell, spec)])
         assert total == pytest.approx(w0, rel=1e-8)
 
 
@@ -164,7 +170,7 @@ class TestTransforms:
         rho = spread_charges(sys, spec)
         rho_hat = forward_density(sys, spec, provider)
         assert rho_hat.values[0, 0, 0] == pytest.approx(
-            rho.sum() * spec.cell_volume_element, rel=1e-12)
+            rho.sum() * cell.volume / spec.n_grid, rel=1e-12)
 
     def test_pressure_path_transform_count(self):
         # Energy and the full pressure tensor ride on one forward FFT.
@@ -275,8 +281,9 @@ class TestModeWorkspace:
         pref = 2.0 * np.pi * b.lambda0 / b.C0
         fhat = pref * b.psi_series(x) / k2
         dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
+        omega = window_widths(solver.cell, spec)
         what = np.prod([w * sb.lambda0 * sb.psi_series(np.clip(w * k[:, d] / sb.c, -1, 1))
-                        for d, w in enumerate(spec.omega)], axis=0)
+                        for d, w in enumerate(omega)], axis=0)
         return keep, fhat, dterm, 1.0 / what**2
 
     @pytest.mark.parametrize("scale", [(1.01, 1.01, 1.01), (1.01, 0.995, 1.003)])
@@ -386,8 +393,40 @@ class TestSpreadProperties:
         # positions is 8.9e-9 and 5.2e-9.
         grid, spec = spread_unit_charge(position, P)
         sb = spec.spread_basis
-        w0 = np.prod([w * sb.lambda0 * sb.psi0_at_zero for w in spec.omega])
-        assert grid.sum() * spec.cell_volume_element == pytest.approx(w0, rel=1e-8)
+        w0 = (P * DYADIC_H / 2.0 * sb.lambda0 * sb.psi0_at_zero) ** 3
+        assert grid.sum() * DYADIC_H ** 3 == pytest.approx(w0, rel=1e-8)
+
+
+# Integer matrices U with entries in {-1, 0, 1} and det U = 1: h U spans the
+# lattice of h, so it describes the same periodic system in a skewed basis.
+# Those whose cell keeps SKEW_R_C below 0.45 of every width are kept.
+SKEW_H = np.diag([6.0, 6.5, 7.0])
+SKEW_R_C = 1.5
+_U = np.array(list(product((-1, 0, 1), repeat=9)), dtype=float).reshape(-1, 3, 3)
+_U = _U[np.round(np.linalg.det(_U)) == 1]
+_WIDTHS = 1.0 / np.linalg.norm(np.linalg.inv(SKEW_H @ _U), axis=2)
+UNIMODULAR = _U[np.min(_WIDTHS, axis=1) > SKEW_R_C / 0.45]
+
+
+class TestCellBasis:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(index=st.integers(0, len(UNIMODULAR) - 1))
+    def test_skewed_basis_same_results(self, index):
+        # One lattice, two bases: the mesh grids differ, so energy, forces
+        # and pressure agree to the accuracy each has against the exact sum
+        # (test_mesh_agrees_with_exact), not to roundoff.
+        base = random_neutral_system(12, np.diag(SKEW_H), seed=5)
+        skewed = ParticleSystem(cell=Cell(h=SKEW_H @ UNIMODULAR[index]),
+                                positions=base.positions, charges=base.charges)
+        params = EwaldParameters(r_c=SKEW_R_C, delta_split=1e-6,
+                                 oversampling=2.0)
+        ref = evaluate_system(base, params)
+        out = evaluate_system(skewed, params)
+        assert abs(out.energy - ref.energy) <= 1e-6 * abs(ref.u_self)
+        np.testing.assert_allclose(out.forces, ref.forces,
+                                   atol=1e-5 * np.abs(ref.forces).max())
+        np.testing.assert_allclose(out.pressure, ref.pressure,
+                                   atol=1e-5 * np.abs(ref.pressure).max())
 
 
 class TestOneStencil:

@@ -192,22 +192,35 @@ class TestBuildCellList:
         got = set(zip(nl.i.tolist(), nl.j.tolist()))
         assert got == brute_force_pairs(sys, 1.8)
 
-    @pytest.mark.parametrize("h", [np.diag([7.0, 8.0, 7.5]),
-                                   [[7.0, 1.0, 0.0], [0.0, 8.0, 0.5],
-                                    [0.0, 0.0, 7.5]]],
-                             ids=["orthorhombic", "triclinic"])
-    def test_pair_order_contract(self, h):
-        # Each pair once with i < j, in an order that repeats exactly.
+    @pytest.mark.parametrize("h, reach_of_width", [
+        pytest.param(np.diag([7.0, 8.0, 7.5]), None, id="orthorhombic"),
+        pytest.param([[7.0, 1.0, 0.0], [0.0, 8.0, 0.5], [0.0, 0.0, 7.5]], None,
+                     id="triclinic"),
+        pytest.param([[7.0, 3.15, -3.15], [0.0, 7.0, 3.15], [0.0, 0.0, 7.0]],
+                     0.499, id="skewed-upper"),
+        pytest.param([[7.0, 0.0, 0.0], [-3.15, 7.0, 0.0], [3.15, 3.15, 7.0]],
+                     0.499, id="skewed-lower"),
+        pytest.param([[7.0, 3.15, 3.15], [3.15, 7.0, 3.15], [3.15, 3.15, 7.0]],
+                     0.35, id="skewed-full"),
+    ])
+    def test_pair_order_contract(self, h, reach_of_width):
+        # Each pair once with i < j, in an order that repeats exactly.  The
+        # skewed cells have off-diagonals of 0.45 L and a reach (r_c plus
+        # a skin of r_c / 4) close to half the minimum width.
         rng = np.random.default_rng(12)
         cell = Cell(h=np.asarray(h, dtype=float))
         pos = rng.uniform(0, 1, (150, 3)) @ cell.h.T
         sys = ParticleSystem(cell=cell, positions=pos, charges=np.ones(150))
-        nl = build_cell_list(sys, 1.8)
+        r_c, skin = 1.8, 0.0
+        if reach_of_width is not None:
+            reach = reach_of_width * np.min(cell.perpendicular_widths())
+            r_c, skin = 0.8 * reach, 0.2 * reach
+        nl = build_cell_list(sys, r_c, skin)
         assert nl.n_pairs > 0 and np.all(nl.i < nl.j)
         got = set(zip(nl.i.tolist(), nl.j.tolist()))
         assert len(got) == nl.n_pairs
-        assert got == brute_force_pairs(sys, 1.8)
-        again = build_cell_list(sys, 1.8)
+        assert got == brute_force_pairs(sys, r_c + skin)
+        again = build_cell_list(sys, r_c, skin)
         np.testing.assert_array_equal(again.i, nl.i)
         np.testing.assert_array_equal(again.j, nl.j)
 
@@ -218,3 +231,16 @@ class TestBuildCellList:
             build_cell_list(sys, 2.0)
         with pytest.raises(GeometryError):
             check_cutoff(cell, 2.0)
+
+    @pytest.mark.parametrize("h", [np.diag([4.0, 10.0, 10.0]),
+                                   [[4.0, 1.0, 0.5], [0.0, 10.0, 2.0],
+                                    [0.0, 0.0, 10.0]]],
+                             ids=["orthorhombic", "triclinic"])
+    def test_skin_counts_toward_cutoff(self, h):
+        # r_c alone is below half the width; r_c + skin is not.
+        cell = Cell(h=np.asarray(h, dtype=float))
+        half = 0.5 * np.min(cell.perpendicular_widths())
+        sys = ParticleSystem(cell=cell, positions=[[1, 1, 1]], charges=[1.0])
+        build_cell_list(sys, 0.9 * half, skin=0.09 * half)
+        with pytest.raises(GeometryError):
+            build_cell_list(sys, 0.9 * half, skin=0.15 * half)
