@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import (CoulombSolver, EwaldParameters, ParameterError,
-                       evaluate_exact, evaluate_system)
+                       default_order, evaluate_exact, evaluate_system)
 from .kernel import KernelError, SplitKernel
 from .mesh import PlanningError, plan_grid
 from .npt import NptConfig, SimulationError, integrate
 from .oracle import OracleError, classical_ewald, make_report, virial_audit
-from .pswf import PswfError, build_pswf, solve_bandwidth
+from .pswf import PswfError, build_pswf, solve_bandwidth, tabulate_window
 from .realspace import RealspaceError
 from .system import (Cell, CellError, GeometryError, ParticleSystem,
                      build_cell_list)
@@ -184,7 +184,7 @@ def resolve_config(args, **defaults) -> dict:
     if cfg["delta_spread"] is None:
         cfg["delta_spread"] = cfg["delta_split"]
     if cfg["p_order"] is None:
-        cfg["p_order"] = int(np.ceil(-np.log10(cfg["delta_split"]))) + 1
+        cfg["p_order"] = default_order(cfg["delta_split"])
     return cfg
 
 
@@ -271,7 +271,7 @@ def tune_parameters(quantity: str, target: float) -> dict:
         ld = np.interp(t, lx[::-1], ly[::-1])
     delta = float(10.0**ld)
     delta = min(max(delta, 1e-13), 9e-2)
-    P = int(np.ceil(-np.log10(delta))) + 1
+    P = default_order(delta)
     c = solve_bandwidth(delta)
     return {"quantity": quantity, "target": target, "delta": delta,
             "c_split": c, "c_spread": c, "P": P}
@@ -295,9 +295,8 @@ def cmd_tune(args) -> int:
         r_c = cfg["r_c"] or 0.45 * min(lengths)
         basis = build_pswf(params["c_split"])
         kern = SplitKernel(basis=basis, r_c=r_c)
-        spec = plan_grid(cell, kern, delta_spread=params["delta"],
-                         P=params["P"], oversampling=cfg["oversampling"],
-                         spread_basis=basis)
+        spec = plan_grid(cell, kern, tabulate_window(basis, params["P"]),
+                         oversampling=cfg["oversampling"])
         lines.append(f"tune r_c {fnum(r_c)}")
         lines.append(f"tune grid {spec.M[0]} {spec.M[1]} {spec.M[2]}")
         lines.append("tune spacing " + " ".join(fnum(s) for s in spec.spacing))
@@ -479,8 +478,7 @@ def cmd_simulate(args) -> int:
     lines.append(f"stat stderr_volume {fnum(stats.stderr_volume)}")
     lines.append(f"stat mean_temperature {fnum(stats.mean_temperature)}")
     lines.append(f"stat n_samples {stats.n_samples}")
-    lines.append(f"stat full_replans {stats.full_replans}")
-    lines.append(f"stat replan_fallbacks {stats.replan_fallbacks}")
+    lines.append(f"stat grid_changes {stats.grid_changes}")
     lines.append(f"stat neighbor_rebuilds {stats.neighbor_rebuilds}")
     _emit(lines, args.output)
     return EXIT_OK

@@ -1,13 +1,14 @@
 """One-stop periodic Coulomb evaluation combining the pipeline stages.
 
 CoulombSolver binds a parameter set to a cell: it builds the splitting
-basis, the real-space pair table, the mesh plan, and the mode workspace
-once, then evaluates energy, forces, and pressure tensors for any particle
-configuration in that cell, triclinic or orthorhombic.  Rebinding to a
-rescaled or sheared cell (NPT) reuses the bases and pair table since the
-cutoff and bandwidths do not change.  evaluate_exact, the reference,
-replaces the mesh by the exact mode sum and the pair table by the
-closed-form near field.  Both paths share one final assembly of the near,
+basis, the real-space pair table and the spreading window once, plans the
+mesh and the mode workspace for the cell, then evaluates energy, forces,
+and pressure tensors for any particle configuration in that cell, triclinic
+or orthorhombic.  Rebinding to a rescaled or sheared cell (NPT) re-plans
+the mesh, a function of the cell alone, and reuses everything else, since
+the cutoff, bandwidths and order do not change.  evaluate_exact, the
+reference, replaces the mesh by the exact mode sum and the pair table by
+the closed-form near field.  Both paths share one final assembly of the near,
 far, self, and background terms.
 """
 
@@ -18,11 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import SplitKernel, background_correction, self_energy
-from .mesh import (GridSpec, ModeWorkspace, TransformProvider, forward_density,
+from .mesh import (ModeWorkspace, TransformProvider, forward_density,
                    local_pressure, long_range_energy, long_range_forces,
                    long_range_pressure, plan_grid)
 from .oracle import direct_ksum
-from .pswf import build_pswf, solve_bandwidth
+from .pswf import (DELTA_MAX, DELTA_MIN, build_pswf, solve_bandwidth,
+                   tabulate_window)
 from .realspace import ShortRangeResult, build_pair_table, short_range
 from .system import Cell, ParticleSystem, build_cell_list, check_cutoff
 
@@ -31,14 +33,26 @@ class ParameterError(Exception):
     pass
 
 
+_TOLERANCE = f"in [{DELTA_MIN}, {DELTA_MAX}]"   # the deltas solve_bandwidth accepts
+
+
+def default_order(delta: float) -> int:
+    """Spreading order P: one more than the digits of the tolerance delta."""
+    if not DELTA_MIN <= delta <= DELTA_MAX:
+        raise ParameterError(f"delta_split={delta!r} must be {_TOLERANCE}")
+    return int(np.ceil(-np.log10(delta))) + 1
+
+
 @dataclass(frozen=True)
 class EwaldParameters:
-    """User-facing accuracy knobs with the standard defaults.
+    """User-facing accuracy knobs; out-of-range values raise ParameterError.
 
-    delta_spread defaults to delta_split (one bandwidth serves both the
-    kernel split and the spreading window); P defaults to D+1 digits of the
-    split tolerance.  prefactor scales every electrostatic output, so unit
-    systems with q^2/(4 pi eps_0) absorbed into it come for free.
+    delta_spread defaults to delta_split and P to default_order(delta_split).
+    prefactor scales every electrostatic output, so unit systems with
+    q^2/(4 pi eps_0) absorbed into it come for free.  force_mode "analytic"
+    is the exact gradient of the mesh energy but not delta-accurate: at
+    delta_split 1e-6 and oversampling 2 its forces are off by 4.0e-5 of
+    max|F|, against 2.7e-7 for "ik".
     """
 
     r_c: float
@@ -49,17 +63,27 @@ class EwaldParameters:
     prefactor: float = 1.0
     force_mode: str = "ik"
 
+    def __post_init__(self):
+        finite, tol = np.isfinite, lambda d: DELTA_MIN <= d <= DELTA_MAX
+        for name, need, ok in (
+                ("r_c", "finite and > 0", finite(self.r_c) and self.r_c > 0),
+                ("delta_split", _TOLERANCE, tol(self.delta_split)),
+                ("delta_spread", _TOLERANCE,
+                 self.delta_spread is None or tol(self.delta_spread)),
+                ("P", ">= 2", self.P is None or self.P >= 2),
+                ("oversampling", "finite and >= 1",
+                 finite(self.oversampling) and self.oversampling >= 1.0),
+                ("prefactor", "finite", finite(self.prefactor)),
+                ("force_mode", "'ik' or 'analytic'",
+                 self.force_mode in ("ik", "analytic"))):
+            if not ok:
+                raise ParameterError(f"{name}={getattr(self, name)!r} must be {need}")
+
     def resolved(self):
-        if self.r_c <= 0:
-            raise ParameterError("cutoff r_c must be positive")
-        if self.force_mode not in ("ik", "analytic"):
-            raise ParameterError(f"unknown force mode {self.force_mode!r}")
         d_split = float(self.delta_split)
         d_spread = d_split if self.delta_spread is None else float(self.delta_spread)
-        P = self.P
-        if P is None:
-            P = int(np.ceil(-np.log10(d_split))) + 1
-        return d_split, d_spread, int(P)
+        P = default_order(d_split) if self.P is None else int(self.P)
+        return d_split, d_spread, P
 
 
 @dataclass
@@ -87,33 +111,26 @@ class CoulombSolver:
     def __init__(self, cell: Cell, params: EwaldParameters):
         d_split, d_spread, P = params.resolved()
         self.params = params
-        check_cutoff(cell, params.r_c)
         basis = build_pswf(solve_bandwidth(d_split))
-        if abs(d_spread - d_split) <= 1e-300:
-            spread_basis = basis
-        else:
-            spread_basis = build_pswf(solve_bandwidth(d_spread))
+        spread_basis = (basis if d_spread == d_split
+                        else build_pswf(solve_bandwidth(d_spread)))
         self.kern = SplitKernel(basis=basis, r_c=params.r_c)
         self.pair_table = build_pair_table(self.kern)
+        self.window = tabulate_window(spread_basis, P)
         self.provider = TransformProvider()
-        self._spread_basis = spread_basis
-        self._delta_spread = d_spread
-        self._order = P
         self.rebind_cell(cell)
 
     def rebind_cell(self, cell: Cell, fixed_M: tuple | None = None) -> None:
-        """Re-plan the mesh for a new cell; bases and pair table persist.
+        """Plan the mesh for a new cell; bases, tables and window persist.
 
-        ``fixed_M`` keeps the grid counts pinned (used by the barostat
-        between full replans; invariants are still verified).
+        The plan depends only on the parameters and the cell.  ``fixed_M``
+        pins the grid counts (finite-difference checks of the cell
+        derivative; the invariants are still verified).
         """
         check_cutoff(cell, self.params.r_c)
         self.cell = cell
-        window = self.spec.window if hasattr(self, "spec") else None
-        self.spec: GridSpec = plan_grid(
-            cell, self.kern, delta_spread=self._delta_spread, P=self._order,
-            oversampling=self.params.oversampling,
-            spread_basis=self._spread_basis, fixed_M=fixed_M, window=window)
+        self.spec = plan_grid(cell, self.kern, self.window,
+                              self.params.oversampling, fixed_M)
         self.modes = ModeWorkspace(self.spec, self.kern, cell)
 
     def evaluate(self, sys: ParticleSystem, want_forces: bool = True,
@@ -178,8 +195,7 @@ def evaluate_exact(sys: ParticleSystem,
     used, the mesh knobs are not.  Always fills forces and pressure.
     Costs O(N * modes).
     """
-    d_split = params.resolved()[0]
-    kern = SplitKernel(basis=build_pswf(solve_bandwidth(d_split)),
+    kern = SplitKernel(basis=build_pswf(solve_bandwidth(params.delta_split)),
                        r_c=params.r_c)
     sr = short_range(sys, kern, build_cell_list(sys, params.r_c))
     u_far, f_far, p_far = direct_ksum(sys, kern)

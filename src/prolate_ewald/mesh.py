@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import SplitKernel, mode_kernel
-from .pswf import PswfBasis, WindowTable, build_pswf, solve_bandwidth, tabulate_window
+from .pswf import WindowTable
 from .system import Cell, ParticleSystem
 
 
@@ -69,36 +69,32 @@ class GridSpec:
 
     M: tuple
     spacing: tuple
-    P: int
-    spread_basis: PswfBasis
     window: WindowTable
-    delta_spread: float
-    oversampling: float
+
+    @property
+    def P(self) -> int:
+        return self.window.P
 
     @property
     def n_grid(self) -> int:
         return int(np.prod(self.M))
 
 
-def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
+def plan_grid(cell: Cell, kern: SplitKernel, window: WindowTable,
               oversampling: float = 1.0,
-              spread_basis: PswfBasis | None = None,
-              fixed_M: tuple | None = None,
-              window: WindowTable | None = None) -> GridSpec:
-    """Choose mesh sizes and build the spreading window.
+              fixed_M: tuple | None = None) -> GridSpec:
+    """Choose mesh sizes for one cell and a spreading window built once.
 
     M_d is the smallest even integer >= oversampling * kmax * |a_d| / pi,
     with |a_d| the length of cell vector d, unless ``fixed_M`` pins the
-    counts (barostat replanning keeps the grid fixed between replans).  A
-    mode |k| <= kmax has |m_d| = |a_d . k| / 2 pi <= kmax |a_d| / 2 pi, so
+    counts (finite-difference checks of the cell derivative hold the grid).
+    A mode |k| <= kmax has |m_d| = |a_d . k| / 2 pi <= kmax |a_d| / 2 pi, so
     the Nyquist, band and support invariants read as in an orthorhombic
     cell with L_d -> |a_d|.  Raises PlanningError naming the violated
     invariant if they cannot hold.
     """
-    if oversampling < 1.0:
-        raise PlanningError("oversampling factor must be >= 1")
-    if P < 2:
-        raise PlanningError("spreading order P must be >= 2")
+    if not (np.isfinite(oversampling) and oversampling >= 1.0):
+        raise PlanningError("oversampling factor must be finite and >= 1")
 
     lengths = np.linalg.norm(cell.h, axis=0)
     kmax = kern.kmax
@@ -109,12 +105,8 @@ def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
         M += M % 2
         M = np.maximum(M, 2)
     spacing = lengths / M
-    omega = P * spacing / 2.0
-
-    if spread_basis is None:
-        c_spread = solve_bandwidth(delta_spread)
-        spread_basis = build_pswf(c_spread)
-    c_spread = spread_basis.c
+    omega = window.P * spacing / 2.0
+    c_spread = window.basis.c
 
     for d in range(3):
         if np.pi / spacing[d] < kmax * (1.0 - 1e-12):
@@ -131,15 +123,8 @@ def plan_grid(cell: Cell, kern: SplitKernel, delta_spread: float, P: int,
                 f"window support 2*omega={2 * omega[d]:.4g} not below cell "
                 f"vector length {lengths[d]:.4g} in dimension {d}")
 
-    if window is None:
-        window = tabulate_window(spread_basis, P)
-    elif window.P != P or window.basis_c != spread_basis.c:
-        raise PlanningError("supplied window table does not match P and basis")
     return GridSpec(M=tuple(int(m) for m in M),
-                    spacing=tuple(float(s) for s in spacing),
-                    P=int(P), spread_basis=spread_basis, window=window,
-                    delta_spread=float(delta_spread),
-                    oversampling=float(oversampling))
+                    spacing=tuple(float(s) for s in spacing), window=window)
 
 
 @dataclass(frozen=True)
@@ -261,7 +246,7 @@ class ModeWorkspace:
         # V prod_d (P/2M_d) lambda0 psi_0(pi P m_d / (M_d c)), whatever the
         # cell shape: psi_0 is read once per axis index (sum of M_d
         # arguments, one call), not three times per retained mode.
-        sb = spec.spread_basis
+        sb = spec.window.basis
         arg = np.concatenate([np.pi * spec.P * m / M
                               for m, M in zip(ms, spec.M)]) / sb.c
         psi, _ = sb.psi_and_slope(np.clip(arg, -1.0, 1.0))

@@ -4,8 +4,8 @@ Velocity Verlet with soft-core r^-12 repulsion plus periodic Coulomb
 forces, a periodic velocity-rescaling thermostat, and an isotropic
 stochastic cell-rescaling barostat acting on the log volume.  The barostat
 rescales the cell and positions affinely (fixed fractional coordinates)
-and leaves momenta untouched; the mesh is re-planned once the accumulated
-volume change exceeds a threshold.
+and leaves momenta untouched.  Every rescale re-plans the mesh for the new
+cell; the steps where that changes the grid counts are counted.
 
 The Coulomb and soft-core passes share one Verlet neighbor list (Verlet,
 Phys. Rev. 1967) built at the larger of their cutoffs plus a skin derived
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluate import CoulombSolver, EwaldParameters, kinetic_pressure
-from .mesh import PlanningError
 from .realspace import _add_pair_forces
 from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
                      check_cutoff, minimum_image)
@@ -50,7 +49,6 @@ class NptConfig:
     softcore_coeff: float = 1.0
     softcore_cutoff: float | None = None   # defaults to the Coulomb cutoff
     volume_floor: float = 1e-6
-    replan_fraction: float = 0.02
     force_ceiling: float = 1e8
     record_every: int = 10
     burn_in_fraction: float = 0.2
@@ -96,9 +94,7 @@ class ThermoRecord:
 class NptState:
     system: ParticleSystem
     solver: CoulombSolver
-    log_volume_reference: float = 0.0
-    full_replans: int = 0        # barostat rebinds that re-planned grid counts
-    replan_fallbacks: int = 0    # of those, taken after the pinned grid failed
+    grid_changes: int = 0        # barostat steps that changed the grid counts
     neighbors: NeighborList | None = None     # the Verlet list in use
     neighbor_origin: ParticleSystem | None = None  # configuration it was built from
     neighbor_rebuilds: int = 0
@@ -214,22 +210,9 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
                              charges=sys.charges, masses=sys.masses,
                              momenta=sys.momenta)
     state.system = new_sys
-    # Grid counts are replanned only after the volume drifts past the
-    # threshold; in between the counts stay pinned and only the spacings
-    # and mode workspace track the cell.
-    drifted = abs(np.log(new_volume) - state.log_volume_reference)
-    if drifted <= cfg.replan_fraction:
-        try:
-            state.solver.rebind_cell(new_cell, fixed_M=state.solver.spec.M)
-            return state
-        except PlanningError:
-            # Expansion can push the pinned grid below the Nyquist bound
-            # when the plan started with no spare resolution; fall back to a
-            # full replan instead of aborting the trajectory.
-            state.replan_fallbacks += 1
+    grid = state.solver.spec.M
     state.solver.rebind_cell(new_cell)
-    state.log_volume_reference = float(np.log(new_volume))
-    state.full_replans += 1
+    state.grid_changes += int(state.solver.spec.M != grid)
     return state
 
 
@@ -242,8 +225,7 @@ class TrajectoryStatistics:
     stderr_volume: float
     mean_temperature: float
     n_samples: int
-    full_replans: int
-    replan_fallbacks: int
+    grid_changes: int
     neighbor_rebuilds: int
 
 
@@ -273,8 +255,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
                              charges=sys.charges, masses=sys.masses,
                              momenta=p0)
     solver = solver or CoulombSolver(sys.cell, cfg.ewald)
-    state = NptState(system=sys, solver=solver,
-                     log_volume_reference=float(np.log(sys.cell.volume)))
+    state = NptState(system=sys, solver=solver)
 
     u_coul, u_sc, forces, p_pot = _evaluate_all(state, cfg)
     records = []
@@ -338,6 +319,5 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
                                 stderr_pressure=sp, mean_volume=mv,
                                 stderr_volume=sv, mean_temperature=mt,
                                 n_samples=len(kept),
-                                full_replans=state.full_replans,
-                                replan_fallbacks=state.replan_fallbacks,
+                                grid_changes=state.grid_changes,
                                 neighbor_rebuilds=state.neighbor_rebuilds)

@@ -32,6 +32,7 @@ from scipy.optimize import brentq
 
 BANDWIDTH_MIN = 0.5
 BANDWIDTH_MAX = 80.0
+DELTA_MIN, DELTA_MAX = 1e-14, 1e-1    # the tolerances solve_bandwidth accepts
 
 
 class PswfError(Exception):
@@ -186,8 +187,8 @@ def _psi_at_one(c: float) -> float:
 
 def solve_bandwidth(delta: float) -> float:
     """Bandwidth c with psi_0^c(1) = delta; strictly decreasing in delta."""
-    if not (1e-14 <= delta <= 1e-1):
-        raise PswfError(f"delta={delta} outside [1e-14, 1e-1]")
+    if not (DELTA_MIN <= delta <= DELTA_MAX):
+        raise PswfError(f"delta={delta} outside [{DELTA_MIN}, {DELTA_MAX}]")
     f = lambda c: np.log(max(_psi_at_one(c), 1e-290)) - np.log(delta)
     return float(brentq(f, BANDWIDTH_MIN, BANDWIDTH_MAX, xtol=1e-9, rtol=1e-10))
 
@@ -204,7 +205,7 @@ class WindowTable:
     """
 
     P: int
-    basis_c: float
+    basis: PswfBasis
     value: np.ndarray
     deriv: np.ndarray
 
@@ -233,4 +234,4 @@ def tabulate_window(basis: PswfBasis, P: int) -> WindowTable:
     x = (P - 1.0 - 2.0 * np.arange(P) + s[:, None]) / P
     value = cheb.chebfit(s, basis.psi_series(x), degree)
     deriv = cheb.chebfit(s, basis.psi_series(x, derivative=1) * (2.0 / P), degree)
-    return WindowTable(P=int(P), basis_c=basis.c, value=value, deriv=deriv)
+    return WindowTable(P=int(P), basis=basis, value=value, deriv=deriv)

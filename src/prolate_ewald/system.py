@@ -21,15 +21,6 @@ class GeometryError(CellError):
     """Cutoff too large for the cell, or other geometric safety violation."""
 
 
-def reciprocal_basis(h: np.ndarray) -> np.ndarray:
-    """Columns b_1, b_2, b_3 with h_a . b_b = 2 pi delta_ab."""
-    h = np.asarray(h, dtype=float)
-    det = np.linalg.det(h)
-    if det <= 0.0:
-        raise CellError("cell matrix must be right-handed with positive volume")
-    return 2.0 * np.pi * np.linalg.inv(h).T
-
-
 @dataclass(frozen=True)
 class Cell:
     """Triclinic cell; columns of ``h`` are the cell vectors."""
@@ -37,7 +28,7 @@ class Cell:
     h: np.ndarray
     volume: float = field(init=False)
     inverse: np.ndarray = field(init=False)
-    reciprocal: np.ndarray = field(init=False)
+    reciprocal: np.ndarray = field(init=False)   # 2 pi h^-T: h^T b = 2 pi I
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float).reshape(3, 3)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from prolate_ewald import (Cell, ParticleSystem, SplitKernel, build_pswf,
-                           solve_bandwidth)
+                           solve_bandwidth, tabulate_window)
+from prolate_ewald.evaluate import default_order
 
 _BASIS_CACHE = {}
 
@@ -19,6 +20,11 @@ def basis_for(delta=None, c=None):
 
 def kernel_for(delta, r_c):
     return SplitKernel(basis=basis_for(delta=delta), r_c=r_c)
+
+
+def window_for(delta, P=None):
+    """Spreading window for tolerance delta, of order P or the default."""
+    return tabulate_window(basis_for(delta=delta), P or default_order(delta))
 
 
 def random_neutral_system(n, lengths, seed, charge_style="alternating"):

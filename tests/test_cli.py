@@ -4,6 +4,7 @@ import importlib.util
 import io
 import subprocess
 import sys as _sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -400,9 +401,10 @@ class TestSimulate:
         assert len(rec["thermo"]) == 6    # step 0 plus 5 recorded steps
         stats = {r[0]: r[1] for r in rec["stat"]}
         assert "mean_pressure" in stats
-        # No barostat: no replans; the neighbor list is built at least once.
-        assert stats["full_replans"] == "0"
-        assert stats["replan_fallbacks"] == "0"
+        # No barostat: the grid never changes; the neighbor list is built
+        # at least once.
+        assert stats["grid_changes"] == "0"
+        assert "full_replans" not in stats and "replan_fallbacks" not in stats
         assert 1 <= int(stats["neighbor_rebuilds"]) <= 6
 
     def test_triclinic_run(self, tmp_path):
@@ -437,6 +439,24 @@ class TestErrorMapping:
         code, _ = run_cli("compute", "--input", str(FIXTURES / "pair.txt"),
                           "--r-c", "5.0")
         assert code == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--prefactor", "nan"), ("--prefactor", "inf"), ("--r-c", "nan"),
+        ("--r-c", "inf"), ("--r-c", "-1"), ("--delta-split", "nan"),
+        ("--delta-split", "2"), ("--delta-split", "1e-15"),
+        ("--delta-spread", "nan"), ("--delta-spread", "0.5"),
+        ("--p-order", "1"), ("--oversampling", "0.5"),
+        ("--oversampling", "nan"), ("--oversampling", "inf")])
+    def test_bad_ewald_parameter_is_usage_error(self, flag, value, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no numpy RuntimeWarning either
+            code, out = run_cli("compute", "--input",
+                                str(FIXTURES / "pair.txt"), flag, value)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_usage_error_for_bad_flags(self):
         code, _ = run_cli("tune", "--quantity", "diag-pressure",

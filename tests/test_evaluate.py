@@ -5,6 +5,7 @@ import pytest
 
 from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
                            ParticleSystem, evaluate_exact, evaluate_system)
+from prolate_ewald import evaluate
 from prolate_ewald.evaluate import ParameterError
 
 from conftest import random_neutral_system
@@ -39,6 +40,22 @@ class TestCellCheck:
         solver = CoulombSolver(Cell.orthorhombic((6.0, 6.0, 6.0)),
                                EwaldParameters(r_c=2.0, delta_split=1e-4))
         assert np.isfinite(solver.evaluate(sys).energy)
+
+
+class TestRebind:
+    def test_window_built_once(self, monkeypatch):
+        calls = []
+        tabulate = evaluate.tabulate_window
+        monkeypatch.setattr(evaluate, "tabulate_window",
+                            lambda *a: calls.append(a) or tabulate(*a))
+        solver = CoulombSolver(Cell.orthorhombic((6.0, 6.0, 6.0)),
+                               EwaldParameters(r_c=2.0, delta_split=1e-4))
+        window, M0 = solver.window, solver.spec.M
+        for scale in (1.01, 0.9, 1.2):
+            solver.rebind_cell(Cell.orthorhombic((6.0 * scale,) * 3))
+            assert solver.spec.window is window
+        assert solver.spec.M != M0
+        assert len(calls) == 1
 
 
 class TestExactPath:

@@ -19,20 +19,15 @@ from prolate_ewald.mesh import (MeshError, ModeWorkspace,
                                 long_range_pressure, plan_grid,
                                 spread_charges)
 from prolate_ewald.oracle import direct_ksum
-from prolate_ewald.pswf import tabulate_window
 from prolate_ewald.system import Cell, ParticleSystem, build_cell_list
 
-from conftest import basis_for, kernel_for, random_neutral_system
+from conftest import kernel_for, random_neutral_system, window_for
 
 
 def make_plan(delta, r_c, lengths, P=None, oversampling=2.0):
     kern = kernel_for(delta, r_c)
-    if P is None:
-        P = int(np.ceil(-np.log10(delta))) + 1
     cell = Cell.orthorhombic(lengths)
-    spec = plan_grid(cell, kern, delta_spread=delta, P=P,
-                     oversampling=oversampling,
-                     spread_basis=basis_for(delta=delta))
+    spec = plan_grid(cell, kern, window_for(delta, P), oversampling=oversampling)
     return cell, kern, spec
 
 
@@ -73,37 +68,30 @@ class TestPlanGrid:
     def test_fixed_counts_pin_grid(self):
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])
         bigger = tuple(m + 4 for m in spec.M)
-        pinned = plan_grid(cell, kern, delta_spread=1e-4, P=spec.P,
-                           spread_basis=spec.spread_basis, fixed_M=bigger)
+        pinned = plan_grid(cell, kern, spec.window, fixed_M=bigger)
         assert pinned.M == bigger
 
     def test_window_reuse(self):
+        # The plan is a function of the cell: the same cell and window give
+        # the same plan, holding the window itself.
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])
-        again = plan_grid(cell, kern, delta_spread=1e-4, P=spec.P,
-                          spread_basis=spec.spread_basis, window=spec.window)
+        again = plan_grid(cell, kern, spec.window, oversampling=2.0)
         assert again.window is spec.window
-
-    def test_mismatched_window_rejected(self):
-        cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])
-        wrong = tabulate_window(spec.spread_basis, spec.P + 1)
-        with pytest.raises(PlanningError):
-            plan_grid(cell, kern, delta_spread=1e-4, P=spec.P,
-                      spread_basis=spec.spread_basis, window=wrong)
+        assert (again.M, again.spacing, again.P) == (spec.M, spec.spacing, spec.P)
 
     def test_invalid_inputs(self):
         kern = kernel_for(1e-4, 1.0)
         cell = Cell.orthorhombic([6.0, 6.0, 6.0])
-        with pytest.raises(PlanningError):
-            plan_grid(cell, kern, delta_spread=1e-4, P=5, oversampling=0.5)
-        with pytest.raises(PlanningError):
-            plan_grid(cell, kern, delta_spread=1e-4, P=1)
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(PlanningError, match="oversampling"):
+                plan_grid(cell, kern, window_for(1e-4, 5), oversampling=bad)
 
     def test_window_support_guard(self):
         # A tiny box cannot hold the spreading window.
         kern = kernel_for(1e-4, 0.4)
         cell = Cell.orthorhombic([0.9, 0.9, 0.9])
         with pytest.raises(PlanningError, match="support|band|Nyquist"):
-            plan_grid(cell, kern, delta_spread=1e-4, P=12)
+            plan_grid(cell, kern, window_for(1e-4, 12))
 
 
 class TestSpreadCharges:
@@ -156,7 +144,7 @@ class TestSpreadCharges:
         sys = self.one_particle([1.234, 2.345, 3.456])
         rho = spread_charges(sys, spec)
         total = float(rho.sum()) * cell.volume / spec.n_grid
-        sb = spec.spread_basis
+        sb = spec.window.basis
         w0 = np.prod([w * sb.lambda0 * sb.psi0_at_zero
                       for w in window_widths(cell, spec)])
         assert total == pytest.approx(w0, rel=1e-8)
@@ -276,7 +264,7 @@ class TestModeWorkspace:
         k2 = np.sum(k * k, axis=-1)
         keep = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         k, k2 = k[keep], k2[keep]
-        b, sb = kern.basis, spec.spread_basis
+        b, sb = kern.basis, spec.window.basis
         x = np.minimum(np.sqrt(k2) * kern.r_c / b.c, 1.0)
         pref = 2.0 * np.pi * b.lambda0 / b.C0
         fhat = pref * b.psi_series(x) / k2
@@ -362,8 +350,7 @@ DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True,
 
 def spread_unit_charge(position, P):
     cell = Cell.orthorhombic([DYADIC_L] * 3)
-    spec = plan_grid(cell, kernel_for(1e-8, 3.0), delta_spread=1e-8, P=P,
-                     spread_basis=basis_for(delta=1e-8),
+    spec = plan_grid(cell, kernel_for(1e-8, 3.0), window_for(1e-8, P),
                      fixed_M=(DYADIC_M,) * 3)
     sys = ParticleSystem(cell=cell, positions=np.array([position]),
                          charges=np.array([1.0]))
@@ -392,7 +379,7 @@ class TestSpreadProperties:
         # of order delta; at P = 8 and 9 (delta 1e-8) the worst case over
         # positions is 8.9e-9 and 5.2e-9.
         grid, spec = spread_unit_charge(position, P)
-        sb = spec.spread_basis
+        sb = spec.window.basis
         w0 = (P * DYADIC_H / 2.0 * sb.lambda0 * sb.psi0_at_zero) ** 3
         assert grid.sum() * DYADIC_H ** 3 == pytest.approx(w0, rel=1e-8)
 

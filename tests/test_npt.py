@@ -139,8 +139,7 @@ class TestBarostatStep:
     def make_state(self, cfg):
         sys = toy_system(n=16, L=8.0, seed=5)
         solver = CoulombSolver(sys.cell, cfg.ewald)
-        return NptState(system=sys, solver=solver,
-                        log_volume_reference=float(np.log(sys.cell.volume)))
+        return NptState(system=sys, solver=solver)
 
     def test_equilibrium_leaves_volume(self):
         cfg = toy_config(barostat=True, barostat_noise=False, target_P0=0.3)
@@ -183,6 +182,31 @@ class TestBarostatStep:
         state = barostat_step(state, cfg, cfg.target_P0 + 1e-4,
                               np.random.default_rng(0))
         assert state.solver.spec.M == M0
+
+    def test_rebind_matches_fresh_solver(self):
+        # The plan is a function of the cell: after every barostat step the
+        # solver holds what a new solver on that cell would, bit for bit.
+        # The start cell sits just above a grid boundary (M 12 -> 14), so
+        # the compressing steps cross it.
+        cfg = toy_config(barostat=True, target_P0=100.0, beta_T=0.5)
+        kmax = CoulombSolver(Cell.orthorhombic([8.0] * 3), cfg.ewald).kern.kmax
+        sys = toy_system(n=8, L=12 * np.pi / kmax * (1 + 1e-4), seed=3)
+        state = NptState(system=sys, solver=CoulombSolver(sys.cell, cfg.ewald))
+        rng = np.random.default_rng(1)
+        grids = {state.solver.spec.M}
+        for _ in range(6):
+            state = barostat_step(state, cfg, 0.0, rng)
+            s, solver = state.system, state.solver
+            fresh = CoulombSolver(s.cell, cfg.ewald)
+            assert solver.spec.M == fresh.spec.M
+            assert solver.spec.spacing == fresh.spec.spacing
+            a, b = solver.evaluate(s), fresh.evaluate(s)
+            assert a.energy == b.energy
+            np.testing.assert_array_equal(a.forces, b.forces)
+            np.testing.assert_array_equal(a.pressure, b.pressure)
+            grids.add(solver.spec.M)
+        assert len(grids) == 2
+        assert state.grid_changes == 1
 
 
 class TestIntegrate:
@@ -253,18 +277,24 @@ class TestIntegrate:
         e = np.array([r.enthalpy for r in stats.records])
         assert np.max(np.abs(e - e[0])) / abs(e[0]) < 1e-4
 
-    def test_replan_fallback_counted(self):
-        # M = kmax L / pi to roundoff leaves the plan no spare resolution,
-        # so the first expansion breaks Nyquist on the pinned grid;
-        # replan_fraction 1.0 rules out a drift replan.
+    @pytest.mark.parametrize("target_P0, margin", [(-100.0, -1e-13),
+                                                   (100.0, 1e-13)],
+                             ids=["expand", "compress"])
+    def test_grid_change_counted(self, target_P0, margin):
+        # M = kmax L / pi to roundoff puts the cell on a grid boundary
+        # (M 12 below it, 14 above), so the first step that expands
+        # (target_P0 -100) raises M, and the first that compresses lowers it.
         cfg = toy_config(n_steps=3, barostat=True, barostat_noise=False,
-                         target_P0=-100.0, replan_fraction=1.0)
+                         target_P0=target_P0)
         kmax = CoulombSolver(Cell.orthorhombic([8.0] * 3), cfg.ewald).kern.kmax
-        L = 12 * np.pi / kmax * (1 - 1e-13)
-        stats = integrate(cfg, toy_system(n=8, L=L, seed=3))
-        assert stats.records[-1].volume > stats.records[0].volume
-        assert stats.replan_fallbacks >= 1
-        assert stats.full_replans >= stats.replan_fallbacks
+        sys = toy_system(n=8, L=12 * np.pi / kmax * (1 + margin), seed=3)
+        solver = CoulombSolver(sys.cell, cfg.ewald)
+        M0 = solver.spec.M
+        stats = integrate(cfg, sys, solver=solver)
+        grew = stats.records[-1].volume > stats.records[0].volume
+        assert grew == (target_P0 < 0)
+        assert solver.spec.M == tuple(m + (2 if grew else -2) for m in M0)
+        assert stats.grid_changes >= 1
 
     def test_statistics_shape(self):
         cfg = toy_config(n_steps=30, thermostat_period=5, barostat=True,

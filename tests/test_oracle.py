@@ -10,7 +10,7 @@ from prolate_ewald.oracle import (OracleError, OracleReport, classical_ewald,
                                   relative_deviation, virial_audit)
 from prolate_ewald.system import Cell, ParticleSystem
 
-from conftest import kernel_for, random_neutral_system
+from conftest import kernel_for, random_neutral_system, window_for
 
 # Madelung constant of rock salt from this module's classical Ewald path,
 # frozen so regressions cannot hide behind a moving reference.  Two
@@ -301,10 +301,8 @@ class TestVirialAudit:
         from prolate_ewald.system import build_cell_list
 
         kern = kernel_for(delta, r_c)
-        P = int(np.ceil(-np.log10(delta))) + 1
-        spec = plan_grid(sys.cell, kern, delta_spread=delta, P=P,
-                         oversampling=oversampling,
-                         spread_basis=kern.basis)
+        spec = plan_grid(sys.cell, kern, window_for(delta),
+                         oversampling=oversampling)
         sr = short_range(sys, kern, build_cell_list(sys, r_c))
         rho = forward_density(sys, spec, TransformProvider())
         u_far = long_range_energy(rho, kern, spec, sys.cell)

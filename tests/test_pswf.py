@@ -234,5 +234,6 @@ class TestTabulateWindow:
             assert deriv <= 1e-11 * scale, (P, deriv)
 
     def test_order_error(self, basis_c10):
-        with pytest.raises(PswfError):
-            tabulate_window(basis_c10, 1)
+        for P in (0, 1):
+            with pytest.raises(PswfError):
+                tabulate_window(basis_c10, P)

@@ -7,8 +7,7 @@ import pytest
 
 from prolate_ewald.system import (Cell, CellError, GeometryError,
                                   ParticleSystem, build_cell_list,
-                                  check_cutoff, minimum_image,
-                                  reciprocal_basis)
+                                  check_cutoff, minimum_image)
 
 
 def brute_force_pairs(sys, r_c):
@@ -24,12 +23,12 @@ def brute_force_pairs(sys, r_c):
 
 class TestReciprocalBasis:
     def test_cubic(self):
-        b = reciprocal_basis(5.0 * np.eye(3))
+        b = Cell(5.0 * np.eye(3)).reciprocal
         np.testing.assert_allclose(b, 2 * np.pi / 5.0 * np.eye(3), atol=1e-15)
 
     def test_orthorhombic(self):
         h = np.diag([2.0, 3.0, 4.0])
-        b = reciprocal_basis(h)
+        b = Cell(h).reciprocal
         np.testing.assert_allclose(b, np.diag(2 * np.pi / np.diag(h)), atol=1e-15)
 
     def test_random_triclinic_identity(self):
@@ -38,7 +37,7 @@ class TestReciprocalBasis:
             h = np.eye(3) * 4.0 + 0.5 * rng.standard_normal((3, 3))
             if np.linalg.det(h) <= 1.0:
                 continue
-            b = reciprocal_basis(h)
+            b = Cell(h).reciprocal
             np.testing.assert_allclose(b.T @ h, 2 * np.pi * np.eye(3),
                                        atol=1e-12)
 
