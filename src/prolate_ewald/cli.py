@@ -24,11 +24,11 @@ import numpy as np
 
 from .evaluate import (CoulombSolver, EwaldParameters, ParameterError,
                        default_order, evaluate_exact, evaluate_system)
-from .kernel import KernelError, SplitKernel
-from .mesh import PlanningError, plan_grid
+from .kernel import KernelError
+from .mesh import PlanningError
 from .npt import NptConfig, SimulationError, integrate
 from .oracle import OracleError, classical_ewald, make_report, virial_audit
-from .pswf import PswfError, build_pswf, solve_bandwidth, tabulate_window
+from .pswf import PswfError, solve_bandwidth
 from .realspace import RealspaceError
 from .system import (Cell, CellError, GeometryError, ParticleSystem,
                      build_cell_list)
@@ -120,17 +120,6 @@ def write_particles(path, sys: ParticleSystem) -> None:
 # ---------------------------------------------------------------------------
 # config files
 
-CONFIG_KEYS = {
-    "delta_split": float, "delta_spread": float, "p_order": int,
-    "r_c": float, "oversampling": float, "force_mode": str,
-    "prefactor": float, "seed": int,
-    "dt": float, "n_steps": int, "target_t": float, "target_p0": float,
-    "tau_p": float, "beta_t": float, "thermostat_period": int,
-    "barostat": bool, "softcore_coeff": float, "record_every": int,
-    "burn_in_fraction": float,
-}
-
-
 def _parse_bool(tok: str) -> bool:
     low = tok.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -138,6 +127,24 @@ def _parse_bool(tok: str) -> bool:
     if low in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {tok!r}")
+
+
+# Run parameters: config key -> (type, default).  Every key except the
+# config-only burn_in_fraction is also a flag --key-name (barostat is
+# --no-barostat); the SIMULATE_OPTIONS flags belong to simulate alone.
+COMMON_OPTIONS = {
+    "delta_split": (float, 1e-6), "p_order": (int, None), "r_c": (float, None),
+    "oversampling": (float, 1.0), "force_mode": (str, "ik"),
+    "prefactor": (float, 1.0), "seed": (int, 0),
+}
+SIMULATE_OPTIONS = {
+    "dt": (float, 2e-3), "n_steps": (int, 1000), "target_t": (float, 1.0),
+    "target_p0": (float, 0.0), "tau_p": (float, 10.0), "beta_t": (float, 0.05),
+    "thermostat_period": (int, 10), "barostat": (_parse_bool, True),
+    "softcore_coeff": (float, 1.0), "record_every": (int, 10),
+    "burn_in_fraction": (float, 0.2),
+}
+OPTIONS = {**COMMON_OPTIONS, **SIMULATE_OPTIONS}
 
 
 def read_config(path) -> dict:
@@ -149,11 +156,10 @@ def read_config(path) -> dict:
         if "=" not in text:
             raise InputError(f"{path}:{ln}: expected 'key = value'")
         key, val = (t.strip() for t in text.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise InputError(f"{path}:{ln}: unknown config key {key!r}")
-        typ = CONFIG_KEYS[key]
         try:
-            out[key] = _parse_bool(val) if typ is bool else typ(val)
+            out[key] = OPTIONS[key][0](val)
         except ValueError as exc:
             raise InputError(f"{path}:{ln}: {exc}") from exc
     return out
@@ -164,25 +170,14 @@ def resolve_config(args, **defaults) -> dict:
 
     Keyword arguments replace built-in defaults for one subcommand.
     """
-    cfg = {
-        "delta_split": 1e-6, "delta_spread": None, "p_order": None,
-        "r_c": None, "oversampling": 1.0, "force_mode": "ik",
-        "prefactor": 1.0, "seed": 0,
-        "dt": 2e-3, "n_steps": 1000, "target_t": 1.0, "target_p0": 0.0,
-        "tau_p": 10.0, "beta_t": 0.05, "thermostat_period": 10,
-        "barostat": True, "softcore_coeff": 1.0, "record_every": 10,
-        "burn_in_fraction": 0.2,
-    }
+    cfg = {key: default for key, (_, default) in OPTIONS.items()}
     cfg.update(defaults)
     if getattr(args, "config", None):
         cfg.update(read_config(args.config))
-    for key in CONFIG_KEYS:
+    for key in OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    # Resolve dependent defaults exactly once, here.
-    if cfg["delta_spread"] is None:
-        cfg["delta_spread"] = cfg["delta_split"]
     if cfg["p_order"] is None:
         cfg["p_order"] = default_order(cfg["delta_split"])
     return cfg
@@ -210,7 +205,7 @@ def ewald_params(cfg: dict, cell: Cell) -> EwaldParameters:
     if r_c is None:
         r_c = 0.45 * float(np.min(cell.perpendicular_widths()))
     return EwaldParameters(r_c=float(r_c), delta_split=cfg["delta_split"],
-                           delta_spread=cfg["delta_spread"], P=cfg["p_order"],
+                           P=cfg["p_order"],
                            oversampling=cfg["oversampling"],
                            prefactor=cfg["prefactor"],
                            force_mode=cfg["force_mode"])
@@ -274,7 +269,7 @@ def tune_parameters(quantity: str, target: float) -> dict:
     P = default_order(delta)
     c = solve_bandwidth(delta)
     return {"quantity": quantity, "target": target, "delta": delta,
-            "c_split": c, "c_spread": c, "P": P}
+            "c_split": c, "P": P}
 
 
 def cmd_tune(args) -> int:
@@ -285,19 +280,15 @@ def cmd_tune(args) -> int:
     lines.append(f"tune target {fnum(params['target'])}")
     lines.append(f"tune delta {fnum(params['delta'])}")
     lines.append(f"tune c_split {fnum(params['c_split'])}")
-    lines.append(f"tune c_spread {fnum(params['c_spread'])}")
+    # The window is tabulated from the splitting basis, so c_spread = c_split.
+    lines.append(f"tune c_spread {fnum(params['c_split'])}")
     lines.append(f"tune P {params['P']}")
     if args.cell:
-        lengths = [float(t) for t in args.cell.split(",")]
-        if len(lengths) != 3:
-            raise InputError("--cell needs Lx,Ly,Lz")
-        cell = Cell.orthorhombic(lengths)
-        r_c = cfg["r_c"] or 0.45 * min(lengths)
-        basis = build_pswf(params["c_split"])
-        kern = SplitKernel(basis=basis, r_c=r_c)
-        spec = plan_grid(cell, kern, tabulate_window(basis, params["P"]),
-                         oversampling=cfg["oversampling"])
-        lines.append(f"tune r_c {fnum(r_c)}")
+        cell = Cell.orthorhombic(args.cell)
+        tuned = ewald_params({**cfg, "delta_split": params["delta"],
+                              "p_order": params["P"]}, cell)
+        spec = CoulombSolver(cell, tuned).spec
+        lines.append(f"tune r_c {fnum(tuned.r_c)}")
         lines.append(f"tune grid {spec.M[0]} {spec.M[1]} {spec.M[2]}")
         lines.append("tune spacing " + " ".join(fnum(s) for s in spec.spacing))
     lines.append(f"tune oversampling {fnum(cfg['oversampling'])}")
@@ -355,7 +346,7 @@ def cmd_local_pressure(args) -> int:
 def run_verification(sys: ParticleSystem, cfg: dict) -> list:
     """Oracle suite on one configuration; returns OracleReports."""
     params = ewald_params(cfg, sys.cell)
-    delta = params.resolved()[0]
+    delta = params.delta_split
     reports = []
 
     exact = evaluate_exact(sys, params)
@@ -422,11 +413,10 @@ def _random_system(n: int, density: float, seed: int) -> ParticleSystem:
 
 def cmd_bench(args) -> int:
     cfg = resolve_config(args)
-    sizes = [int(t) for t in args.sizes.split(",")]
     lines = config_header(cfg, "bench")
     lines.append("bench-columns n wall_seconds grid_x grid_y grid_z")
     times, ns = [], []
-    for n in sizes:
+    for n in args.sizes:
         sys = _random_system(n, args.density, cfg["seed"])
         params = ewald_params(cfg, sys.cell)
         solver = CoulombSolver(sys.cell, params)
@@ -487,18 +477,42 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(p):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--output", help="write records here instead of stdout")
-    p.add_argument("--delta-split", dest="delta_split", type=float)
-    p.add_argument("--delta-spread", dest="delta_spread", type=float)
-    p.add_argument("--p-order", dest="p_order", type=int)
-    p.add_argument("--r-c", dest="r_c", type=float)
-    p.add_argument("--oversampling", dest="oversampling", type=float)
-    p.add_argument("--force-mode", dest="force_mode",
-                   choices=("ik", "analytic"))
-    p.add_argument("--prefactor", dest="prefactor", type=float)
-    p.add_argument("--seed", dest="seed", type=int)
+def _positive(typ):
+    """argparse type: a finite positive ``typ``."""
+    def parse(tok):
+        try:
+            val = typ(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {typ.__name__}, got {tok!r}") from None
+        if not 0 < val < np.inf:
+            raise argparse.ArgumentTypeError(
+                f"{tok!r} is not finite and positive")
+        return val
+    return parse
+
+
+def _positive_list(typ, count=None):
+    """argparse type: comma-separated finite positive ``typ`` values."""
+    one = _positive(typ)
+
+    def parse(tok):
+        vals = [one(t) for t in tok.split(",")]
+        if count is not None and len(vals) != count:
+            raise argparse.ArgumentTypeError(
+                f"{tok!r} is not {count} comma-separated values")
+        return vals
+    return parse
+
+
+def _add_options(p, options):
+    """One flag per run parameter; see OPTIONS."""
+    for key, (typ, _) in options.items():
+        if key == "barostat":
+            p.add_argument("--no-barostat", dest=key, action="store_false",
+                           default=None)
+        elif key != "burn_in_fraction":
+            p.add_argument("--" + key.replace("_", "-"), type=typ)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,51 +522,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "splitting: energies, forces, pressure tensors, NPT.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tune", help="map a target error to parameters")
+    def command(name, func, summary, input_file=True):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--output", help="write records here instead of stdout")
+        if input_file:
+            p.add_argument("--input", required=True)
+        _add_options(p, COMMON_OPTIONS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("tune", cmd_tune, "map a target error to parameters",
+                input_file=False)
     p.add_argument("--quantity", required=True,
                    choices=("diag-pressure", "offdiag-pressure", "force"))
     p.add_argument("--target", required=True, type=float)
-    p.add_argument("--cell", help="Lx,Ly,Lz to also plan the grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("compute", help="energy/forces/pressure for one file")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_compute)
-
-    p = sub.add_parser("verify", help="oracle suite; nonzero exit on failure")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing vs N at fixed density")
-    p.add_argument("--sizes", required=True, help="comma-separated N values")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--repeats", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("local-pressure", help="per-particle far-field tensors")
-    p.add_argument("--input", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_local_pressure)
-
-    p = sub.add_parser("simulate", help="NPT run on a particle file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dt", dest="dt", type=float)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--target-t", dest="target_t", type=float)
-    p.add_argument("--target-p0", dest="target_p0", type=float)
-    p.add_argument("--tau-p", dest="tau_p", type=float)
-    p.add_argument("--beta-t", dest="beta_t", type=float)
-    p.add_argument("--thermostat-period", dest="thermostat_period", type=int)
-    p.add_argument("--no-barostat", dest="barostat", action="store_false",
-                   default=None)
-    p.add_argument("--softcore-coeff", dest="softcore_coeff", type=float)
-    p.add_argument("--record-every", dest="record_every", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--cell", type=_positive_list(float, 3),
+                   help="Lx,Ly,Lz to also plan the grid")
+    command("compute", cmd_compute, "energy/forces/pressure for one file")
+    command("verify", cmd_verify, "oracle suite; nonzero exit on failure")
+    p = command("bench", cmd_bench, "timing vs N at fixed density",
+                input_file=False)
+    p.add_argument("--sizes", required=True, type=_positive_list(int),
+                   help="comma-separated N values")
+    p.add_argument("--density", type=_positive(float), default=0.5)
+    p.add_argument("--repeats", type=_positive(int), default=3)
+    command("local-pressure", cmd_local_pressure,
+            "per-particle far-field tensors")
+    p = command("simulate", cmd_simulate, "NPT run on a particle file")
+    _add_options(p, SIMULATE_OPTIONS)
     return ap
 
 

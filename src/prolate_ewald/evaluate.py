@@ -6,7 +6,7 @@ mesh and the mode workspace for the cell, then evaluates energy, forces,
 and pressure tensors for any particle configuration in that cell, triclinic
 or orthorhombic.  Rebinding to a rescaled or sheared cell (NPT) re-plans
 the mesh, a function of the cell alone, and reuses everything else, since
-the cutoff, bandwidths and order do not change.  evaluate_exact, the
+the cutoff, bandwidth and order do not change.  evaluate_exact, the
 reference, replaces the mesh by the exact mode sum and the pair table by
 the closed-form near field.  Both paths share one final assembly of the near,
 far, self, and background terms.
@@ -47,29 +47,28 @@ def default_order(delta: float) -> int:
 class EwaldParameters:
     """User-facing accuracy knobs; out-of-range values raise ParameterError.
 
-    delta_spread defaults to delta_split and P to default_order(delta_split).
-    prefactor scales every electrostatic output, so unit systems with
-    q^2/(4 pi eps_0) absorbed into it come for free.  force_mode "analytic"
-    is the exact gradient of the mesh energy but not delta-accurate: at
-    delta_split 1e-6 and oversampling 2 its forces are off by 4.0e-5 of
-    max|F|, against 2.7e-7 for "ik".
+    One tolerance, delta_split, sets the splitting bandwidth; the spreading
+    window is tabulated from the same basis at order P, which defaults to
+    default_order(delta_split).  prefactor scales every electrostatic
+    output, so unit systems with q^2/(4 pi eps_0) absorbed into it come
+    for free.  force_mode "analytic" is the exact gradient of the mesh
+    energy but not delta-accurate: at delta_split 1e-6 and oversampling 2
+    its forces are off by 4.0e-5 of max|F|, against 2.7e-7 for "ik".
     """
 
     r_c: float
     delta_split: float = 1e-6
-    delta_spread: float | None = None
     P: int | None = None
     oversampling: float = 1.0
     prefactor: float = 1.0
     force_mode: str = "ik"
 
     def __post_init__(self):
-        finite, tol = np.isfinite, lambda d: DELTA_MIN <= d <= DELTA_MAX
+        finite = np.isfinite
         for name, need, ok in (
                 ("r_c", "finite and > 0", finite(self.r_c) and self.r_c > 0),
-                ("delta_split", _TOLERANCE, tol(self.delta_split)),
-                ("delta_spread", _TOLERANCE,
-                 self.delta_spread is None or tol(self.delta_spread)),
+                ("delta_split", _TOLERANCE,
+                 DELTA_MIN <= self.delta_split <= DELTA_MAX),
                 ("P", ">= 2", self.P is None or self.P >= 2),
                 ("oversampling", "finite and >= 1",
                  finite(self.oversampling) and self.oversampling >= 1.0),
@@ -78,12 +77,6 @@ class EwaldParameters:
                  self.force_mode in ("ik", "analytic"))):
             if not ok:
                 raise ParameterError(f"{name}={getattr(self, name)!r} must be {need}")
-
-    def resolved(self):
-        d_split = float(self.delta_split)
-        d_spread = d_split if self.delta_spread is None else float(self.delta_spread)
-        P = default_order(d_split) if self.P is None else int(self.P)
-        return d_split, d_spread, P
 
 
 @dataclass
@@ -109,14 +102,12 @@ class EnergyBreakdown:
 
 class CoulombSolver:
     def __init__(self, cell: Cell, params: EwaldParameters):
-        d_split, d_spread, P = params.resolved()
         self.params = params
-        basis = build_pswf(solve_bandwidth(d_split))
-        spread_basis = (basis if d_spread == d_split
-                        else build_pswf(solve_bandwidth(d_spread)))
+        P = default_order(params.delta_split) if params.P is None else int(params.P)
+        basis = build_pswf(solve_bandwidth(params.delta_split))
         self.kern = SplitKernel(basis=basis, r_c=params.r_c)
         self.pair_table = build_pair_table(self.kern)
-        self.window = tabulate_window(spread_basis, P)
+        self.window = tabulate_window(basis, P)
         self.provider = TransformProvider()
         self.rebind_cell(cell)
 

@@ -30,8 +30,8 @@ class SplitKernel:
     kmax: float = field(init=False)
 
     def __post_init__(self):
-        if self.r_c <= 0.0:
-            raise KernelError("cutoff r_c must be positive")
+        if not (np.isfinite(self.r_c) and self.r_c > 0.0):
+            raise KernelError(f"cutoff r_c={self.r_c!r} must be finite and positive")
         object.__setattr__(self, "kmax", self.basis.c / self.r_c)
 
 

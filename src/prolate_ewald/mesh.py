@@ -117,7 +117,7 @@ def plan_grid(cell: Cell, kern: SplitKernel, window: WindowTable,
             raise PlanningError(
                 f"window band coverage violated in dimension {d}: "
                 f"c_spread/omega={c_spread / omega[d]:.4g} < kmax={kmax:.4g}; "
-                f"decrease P or delta_spread, or increase oversampling")
+                f"decrease P or increase oversampling")
         if 2.0 * omega[d] >= lengths[d]:
             raise PlanningError(
                 f"window support 2*omega={2 * omega[d]:.4g} not below cell "

@@ -7,8 +7,8 @@ rescales the cell and positions affinely (fixed fractional coordinates)
 and leaves momenta untouched.  Every rescale re-plans the mesh for the new
 cell; the steps where that changes the grid counts are counted.
 
-The Coulomb and soft-core passes share one Verlet neighbor list (Verlet,
-Phys. Rev. 1967) built at the larger of their cutoffs plus a skin derived
+The Coulomb and soft-core passes share the cutoff r_c and one Verlet
+neighbor list (Verlet, Phys. Rev. 1967) built at r_c plus a skin derived
 from the cell.  It is reused from step to step, across barostat rescales
 too, for as long as no pair outside it can have come within the cutoff,
 and rebuilt otherwise.
@@ -16,7 +16,7 @@ and rebuilt otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class NptConfig:
     kB: float = KB_DEFAULT
     ewald: EwaldParameters = field(default_factory=lambda: EwaldParameters(r_c=1.0))
     softcore_coeff: float = 1.0
-    softcore_cutoff: float | None = None   # defaults to the Coulomb cutoff
     volume_floor: float = 1e-6
     force_ceiling: float = 1e8
     record_every: int = 10
@@ -68,8 +67,6 @@ class NptConfig:
             raise SimulationError("thermostat_period must be nonnegative")
         if not 0.0 <= self.burn_in_fraction < 1.0:
             raise SimulationError("burn_in_fraction must lie in [0, 1)")
-        if self.softcore_cutoff is not None and self.softcore_cutoff <= 0:
-            raise SimulationError("softcore_cutoff must be positive")
         if self.target_T < 0:
             raise SimulationError("target_T must be nonnegative")
 
@@ -175,11 +172,10 @@ def _neighbors(state: NptState, reach: float) -> NeighborList:
 
 def _evaluate_all(state: NptState, cfg: NptConfig):
     sys = state.system
-    cutoff = cfg.softcore_cutoff or cfg.ewald.r_c
-    neighbors = _neighbors(state, max(cutoff, cfg.ewald.r_c))
+    neighbors = _neighbors(state, cfg.ewald.r_c)
     coul = state.solver.evaluate(sys, neighbors=neighbors)
-    u_sc, f_sc, p_sc = softcore_interactions(sys, cfg.softcore_coeff, cutoff,
-                                             neighbors=neighbors)
+    u_sc, f_sc, p_sc = softcore_interactions(sys, cfg.softcore_coeff,
+                                             cfg.ewald.r_c, neighbors=neighbors)
     forces = coul.forces + f_sc
     p_pot = coul.pressure + p_sc
     return coul.energy, u_sc, forces, p_pot
@@ -206,10 +202,7 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
         raise SimulationError(f"volume collapsed below floor: {new_volume:.3e}")
     scale = np.exp(deps / 3.0)
     new_cell = Cell(h=scale * sys.cell.h)
-    new_sys = ParticleSystem(cell=new_cell, positions=scale * sys.positions,
-                             charges=sys.charges, masses=sys.masses,
-                             momenta=sys.momenta)
-    state.system = new_sys
+    state.system = replace(sys, cell=new_cell, positions=scale * sys.positions)
     grid = state.solver.spec.M
     state.solver.rebind_cell(new_cell)
     state.grid_changes += int(state.solver.spec.M != grid)
@@ -251,9 +244,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if initialize_momenta:
         p0 = maxwell_boltzmann_momenta(sys.masses, cfg.target_T, rng, cfg.kB)
-        sys = ParticleSystem(cell=sys.cell, positions=sys.positions,
-                             charges=sys.charges, masses=sys.masses,
-                             momenta=p0)
+        sys = replace(sys, momenta=p0)
     solver = solver or CoulombSolver(sys.cell, cfg.ewald)
     state = NptState(system=sys, solver=solver)
 
@@ -278,9 +269,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
             raise SimulationError(f"force blowup at step {step}")
         p_half = s.momenta + 0.5 * cfg.dt * forces
         new_pos = s.positions + cfg.dt * p_half / s.masses[:, None]
-        state.system = ParticleSystem(cell=s.cell, positions=new_pos,
-                                      charges=s.charges, masses=s.masses,
-                                      momenta=p_half)
+        state.system = replace(s, positions=new_pos, momenta=p_half)
 
         if cfg.barostat:
             # The barostat consumes the most recent pressure evaluation;
@@ -291,18 +280,14 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
 
         u_coul, u_sc, forces, p_pot = _evaluate_all(state, cfg)
         s = state.system
-        state.system = ParticleSystem(
-            cell=s.cell, positions=s.positions, charges=s.charges,
-            masses=s.masses, momenta=s.momenta + 0.5 * cfg.dt * forces)
+        state.system = replace(s, momenta=s.momenta + 0.5 * cfg.dt * forces)
 
         if cfg.thermostat_period and step % cfg.thermostat_period == 0:
             s = state.system
             t_now = kinetic_temperature(s, cfg.kB)
             if t_now > 0:
                 lam = np.sqrt(cfg.target_T / t_now)
-                state.system = ParticleSystem(
-                    cell=s.cell, positions=s.positions, charges=s.charges,
-                    masses=s.masses, momenta=lam * s.momenta)
+                state.system = replace(s, momenta=lam * s.momenta)
 
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             record(step)

@@ -1,5 +1,6 @@
 """Command-line surface: file formats, config resolution, subcommands."""
 
+import argparse
 import importlib.util
 import io
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prolate_ewald.cli import (InputError, TuningError, main, read_config,
+from prolate_ewald.cli import (OPTIONS, InputError, TuningError,
+                               build_parser, ewald_params, main, read_config,
                                read_particles, resolve_config,
                                tune_parameters, write_particles)
 from prolate_ewald.system import Cell, ParticleSystem
@@ -125,7 +127,8 @@ class TestConfig:
             read_config(path)
 
     @pytest.mark.parametrize("key, value", [("threads", "2"),
-                                            ("coupling", "isotropic")])
+                                            ("coupling", "isotropic"),
+                                            ("delta_spread", "1e-4")])
     def test_removed_keys_rejected(self, tmp_path, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {value}\n")
@@ -133,7 +136,6 @@ class TestConfig:
             read_config(path)
 
     def test_precedence(self, tmp_path):
-        import argparse
         path = tmp_path / "run.cfg"
         path.write_text("delta_split = 1e-4\nseed = 7\n")
         args = argparse.Namespace(config=str(path), delta_split=1e-5)
@@ -143,10 +145,32 @@ class TestConfig:
         assert cfg["oversampling"] == 1.0    # default survives
 
     def test_dependent_defaults(self):
-        import argparse
         cfg = resolve_config(argparse.Namespace(delta_split=1e-3))
-        assert cfg["delta_spread"] == 1e-3
         assert cfg["p_order"] == 4
+
+    def test_one_option_table(self, tmp_path):
+        # Every run parameter parses from a config file, and every flag
+        # generated from OPTIONS lands on its key.
+        samples = {float: "0.25", int: "3", str: "analytic"}
+        text = {key: samples.get(typ, "false")
+                for key, (typ, _) in OPTIONS.items()}
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        from_file = read_config(path)
+        assert from_file == {k: OPTIONS[k][0](v) for k, v in text.items()}
+        assert from_file["barostat"] is False
+
+        argv = ["simulate", "--input", "unused.txt"]
+        for key, value in text.items():
+            if key == "barostat":
+                argv.append("--no-barostat")
+            elif key != "burn_in_fraction":
+                argv += ["--" + key.replace("_", "-"), value]
+        args = build_parser().parse_args(argv)
+        assert not hasattr(args, "burn_in_fraction")    # config-only
+        from_flags = resolve_config(args)
+        for key in OPTIONS.keys() - {"burn_in_fraction"}:
+            assert from_flags[key] == from_file[key], key
 
 
 class TestTune:
@@ -194,6 +218,31 @@ class TestTune:
                              "1e-4", "--config", str(path))
         assert code == 0
         assert parse_records(text)["tune"][-1] == ["oversampling", "1.5"]
+
+    @pytest.mark.parametrize("r_c, code, message", [
+        ("2.0", 3, "not below half the minimum perpendicular width"),
+        ("nan", 2, "r_c=nan must be finite")])
+    def test_cell_plan_checks_cutoff(self, r_c, code, message, capsys):
+        # The grid is planned by the solver compute would build, so a cutoff
+        # compute rejects is rejected here too.
+        got, out = run_cli("tune", "--quantity", "force", "--target", "1e-4",
+                           "--cell", "3,3,3", "--r-c", r_c)
+        err = capsys.readouterr().err
+        assert got == code
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    def test_default_cutoff_matches_compute(self):
+        # Without --r-c, the grid is planned at the cutoff compute would
+        # pick for the cell (here 0.45 of the width differs from 0.45 * L
+        # in the last bit).
+        code, text = run_cli("tune", "--quantity", "diag-pressure",
+                             "--target", "3e-6", "--cell", "7.937,7.937,7.937")
+        assert code == 0
+        rec = {r[0]: r[1:] for r in parse_records(text)["tune"]}
+        cfg = resolve_config(argparse.Namespace())
+        cell = Cell.orthorhombic([7.937] * 3)
+        assert float(rec["r_c"][0]) == ewald_params(cfg, cell).r_c
 
     def test_calibration_data_reproduced(self):
         # The tune anchors rest on data/tune_calibration.txt; rerun the sweep
@@ -444,9 +493,9 @@ class TestErrorMapping:
         ("--prefactor", "nan"), ("--prefactor", "inf"), ("--r-c", "nan"),
         ("--r-c", "inf"), ("--r-c", "-1"), ("--delta-split", "nan"),
         ("--delta-split", "2"), ("--delta-split", "1e-15"),
-        ("--delta-spread", "nan"), ("--delta-spread", "0.5"),
         ("--p-order", "1"), ("--oversampling", "0.5"),
-        ("--oversampling", "nan"), ("--oversampling", "inf")])
+        ("--oversampling", "nan"), ("--oversampling", "inf"),
+        ("--force-mode", "spline")])
     def test_bad_ewald_parameter_is_usage_error(self, flag, value, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")    # no numpy RuntimeWarning either
@@ -457,6 +506,27 @@ class TestErrorMapping:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_removed_flag_rejected(self, capsys):
+        code, out = run_cli("compute", "--input", str(FIXTURES / "pair.txt"),
+                            "--delta-spread", "1e-4")
+        assert code == 2
+        assert out == ""
+        assert ("unrecognized arguments: --delta-spread"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ("tune", "--quantity", "force", "--target", "1e-4", "--cell", "a,b,c"),
+        ("bench", "--sizes", "abc"),
+        ("bench", "--sizes", "64", "--repeats", "0"),
+        ("bench", "--sizes", "64", "--density", "-1")],
+        ids=["cell", "sizes", "repeats", "density"])
+    def test_bad_number_flag_is_usage_error(self, argv, capsys):
+        code, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == ""
+        assert "error: argument" in err and "Traceback" not in err
 
     def test_usage_error_for_bad_flags(self):
         code, _ = run_cli("tune", "--quantity", "diag-pressure",

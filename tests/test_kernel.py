@@ -45,8 +45,9 @@ class TestSplitIdentity:
         assert kern.kmax == pytest.approx(12.0 / R_C)
 
     def test_bad_cutoff(self):
-        with pytest.raises(KernelError):
-            SplitKernel(basis=basis_for(c=12.0), r_c=-1.0)
+        for r_c in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(KernelError, match="finite and positive"):
+                SplitKernel(basis=basis_for(c=12.0), r_c=r_c)
 
 
 class TestNearField:
