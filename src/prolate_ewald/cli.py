@@ -1,13 +1,13 @@
-"""Command-line front end: tune, compute, verify, bench, local-pressure,
-simulate.
+"""Command-line front end: tune, compute, verify, local-pressure, simulate.
 
 File formats.  Particle files are plain text, one particle per line
 (``x y z q m``), preceded by a header ``cell Lx Ly Lz`` (orthorhombic) or
 ``cell3 h11 h21 h31 h12 h22 h32 h13 h23 h33`` (triclinic, column-major);
 ``#`` starts a comment.  Config files are flat ``key = value`` lines with
 the same names as the long command-line flags; flags override the file.
-All numeric output is printed with 17 significant digits, and every output
-artifact embeds the fully resolved configuration.
+The NPT flags, --seed among them, belong to simulate, the one command that
+draws random numbers.  All numeric output is printed with 17 significant
+digits, and every output artifact embeds the fully resolved configuration.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error,
 3 runtime or physics error.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,7 @@ from .npt import NptConfig, SimulationError, integrate
 from .oracle import OracleError, classical_ewald, make_report, virial_audit
 from .pswf import PswfError, solve_bandwidth
 from .realspace import RealspaceError
-from .system import (Cell, CellError, GeometryError, ParticleSystem,
-                     build_cell_list)
+from .system import Cell, CellError, GeometryError, ParticleSystem
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -54,26 +52,25 @@ def fnum(x) -> str:
 
 def read_particles(path) -> ParticleSystem:
     lines = Path(path).read_text().splitlines()
-    cell = None
+    h = None
     rows = []
     for ln, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
         cols = text.split()
-        if cell is None:
+        if h is None:
             if cols[0] == "cell":
                 if len(cols) != 4:
                     raise InputError(f"{path}:{ln}: 'cell' header needs 3 "
                                      f"lengths, got {len(cols) - 1}")
-                vals = _parse_floats(path, ln, cols[1:], offset=1)
-                cell = Cell.orthorhombic(vals)
+                h = np.diag(_parse_floats(path, ln, cols[1:], offset=1))
             elif cols[0] == "cell3":
                 if len(cols) != 10:
                     raise InputError(f"{path}:{ln}: 'cell3' header needs 9 "
                                      f"entries, got {len(cols) - 1}")
                 vals = _parse_floats(path, ln, cols[1:], offset=1)
-                cell = Cell(h=np.array(vals).reshape(3, 3, order="F"))
+                h = np.array(vals).reshape(3, 3, order="F")
             else:
                 raise InputError(f"{path}:{ln}: expected 'cell' or 'cell3' "
                                  f"header, got {cols[0]!r}")
@@ -82,13 +79,13 @@ def read_particles(path) -> ParticleSystem:
             raise InputError(f"{path}:{ln}: expected 5 columns "
                              f"(x y z q m), got {len(cols)}")
         rows.append(_parse_floats(path, ln, cols, offset=0))
-    if cell is None:
+    if h is None:
         raise InputError(f"{path}: missing 'cell' header line")
     if not rows:
         raise InputError(f"{path}: no particle lines")
     arr = np.array(rows)
     try:
-        return ParticleSystem(cell=cell, positions=arr[:, :3],
+        return ParticleSystem(cell=Cell(h=h), positions=arr[:, :3],
                               charges=arr[:, 3], masses=arr[:, 4])
     except CellError as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -135,14 +132,14 @@ def _parse_bool(tok: str) -> bool:
 COMMON_OPTIONS = {
     "delta_split": (float, 1e-6), "p_order": (int, None), "r_c": (float, None),
     "oversampling": (float, 1.0), "force_mode": (str, "ik"),
-    "prefactor": (float, 1.0), "seed": (int, 0),
+    "prefactor": (float, 1.0),
 }
 SIMULATE_OPTIONS = {
-    "dt": (float, 2e-3), "n_steps": (int, 1000), "target_t": (float, 1.0),
-    "target_p0": (float, 0.0), "tau_p": (float, 10.0), "beta_t": (float, 0.05),
-    "thermostat_period": (int, 10), "barostat": (_parse_bool, True),
-    "softcore_coeff": (float, 1.0), "record_every": (int, 10),
-    "burn_in_fraction": (float, 0.2),
+    "seed": (int, 0), "dt": (float, 2e-3), "n_steps": (int, 1000),
+    "target_t": (float, 1.0), "target_p0": (float, 0.0), "tau_p": (float, 10.0),
+    "beta_t": (float, 0.05), "thermostat_period": (int, 10),
+    "barostat": (_parse_bool, True), "softcore_coeff": (float, 1.0),
+    "record_every": (int, 10), "burn_in_fraction": (float, 0.2),
 }
 OPTIONS = {**COMMON_OPTIONS, **SIMULATE_OPTIONS}
 
@@ -200,10 +197,16 @@ def config_header(cfg: dict, command: str) -> list:
     return lines
 
 
-def ewald_params(cfg: dict, cell: Cell) -> EwaldParameters:
+def ewald_params(cfg: dict, cell: Cell | None) -> EwaldParameters:
+    """Checked parameters; r_c defaults to 0.45 of the cell's smallest width.
+
+    Without a cell (tune without --cell) nothing is planned, and a unit
+    cutoff stands in for the default.
+    """
     r_c = cfg["r_c"]
     if r_c is None:
-        r_c = 0.45 * float(np.min(cell.perpendicular_widths()))
+        r_c = (1.0 if cell is None
+               else 0.45 * float(np.min(cell.perpendicular_widths())))
     return EwaldParameters(r_c=float(r_c), delta_split=cfg["delta_split"],
                            P=cfg["p_order"],
                            oversampling=cfg["oversampling"],
@@ -222,19 +225,14 @@ def _emit(lines, output):
 # ---------------------------------------------------------------------------
 # tune
 
-# Anchor table mapping target relative error to the splitting tolerance
-# Delta, per quantity; intermediate targets interpolate between anchors in
-# log-log space.  The anchors are read off the calibration sweep stored in
+# Target relative error -> splitting tolerance: delta = target / divisor,
+# per quantity.  The divisors are read off the calibration sweep stored in
 # data/tune_calibration.txt (regenerate with tools/calibrate_tune.py):
-# achieved force error tracks Delta with a constant below one, while the
-# pressure components need Delta about three times tighter than the target.
+# achieved force error tracks delta with a constant below one, while the
+# pressure components need delta about three times tighter than the target.
 # The sweep uses static random configurations, so strongly structured
 # systems may land a small factor above the target.
-TUNE_ANCHORS = {
-    "diag-pressure": [(1e-2, 1e-2 / 3), (1e-8, 1e-8 / 3)],
-    "offdiag-pressure": [(1e-2, 1e-2 / 3), (1e-8, 1e-8 / 3)],
-    "force": [(1e-2, 1e-2), (1e-8, 1e-8)],
-}
+TUNE_DIVISORS = {"diag-pressure": 3, "offdiag-pressure": 3, "force": 1}
 # The sweep ran at this oversampling; tune plans its grid at it unless the
 # flag or a config file says otherwise.
 TUNE_OVERSAMPLING = 2.0
@@ -245,50 +243,33 @@ class TuningError(Exception):
 
 
 def tune_parameters(quantity: str, target: float) -> dict:
-    if quantity not in TUNE_ANCHORS:
+    if quantity not in TUNE_DIVISORS:
         raise TuningError(f"unknown quantity {quantity!r}; choose from "
-                          f"{sorted(TUNE_ANCHORS)}")
+                          f"{sorted(TUNE_DIVISORS)}")
     if not (1e-8 <= target <= 1e-2):
         raise TuningError(f"target error {target} outside [1e-8, 1e-2]")
-    anchors = TUNE_ANCHORS[quantity]
-    lx = np.log10([a[0] for a in anchors])
-    ly = np.log10([a[1] for a in anchors])
-    # Log-log interpolation through the anchors, linear extrapolation at
-    # the ends with the boundary slope.
-    t = np.log10(target)
-    if t <= lx[-1]:
-        slope = (ly[-1] - ly[-2]) / (lx[-1] - lx[-2])
-        ld = ly[-1] + slope * (t - lx[-1])
-    elif t >= lx[0]:
-        slope = (ly[1] - ly[0]) / (lx[1] - lx[0])
-        ld = ly[0] + slope * (t - lx[0])
-    else:
-        ld = np.interp(t, lx[::-1], ly[::-1])
-    delta = float(10.0**ld)
-    delta = min(max(delta, 1e-13), 9e-2)
-    P = default_order(delta)
-    c = solve_bandwidth(delta)
+    delta = target / TUNE_DIVISORS[quantity]
     return {"quantity": quantity, "target": target, "delta": delta,
-            "c_split": c, "P": P}
+            "c_split": solve_bandwidth(delta), "P": default_order(delta)}
 
 
 def cmd_tune(args) -> int:
     cfg = resolve_config(args, oversampling=TUNE_OVERSAMPLING)
-    params = tune_parameters(args.quantity, args.target)
+    tuned = tune_parameters(args.quantity, args.target)
+    cfg.update(delta_split=tuned["delta"], p_order=tuned["P"])
+    cell = Cell.orthorhombic(args.cell) if args.cell else None
+    params = ewald_params(cfg, cell)
     lines = config_header(cfg, "tune")
-    lines.append(f"tune quantity {params['quantity']}")
-    lines.append(f"tune target {fnum(params['target'])}")
-    lines.append(f"tune delta {fnum(params['delta'])}")
-    lines.append(f"tune c_split {fnum(params['c_split'])}")
+    lines.append(f"tune quantity {tuned['quantity']}")
+    lines.append(f"tune target {fnum(tuned['target'])}")
+    lines.append(f"tune delta {fnum(tuned['delta'])}")
+    lines.append(f"tune c_split {fnum(tuned['c_split'])}")
     # The window is tabulated from the splitting basis, so c_spread = c_split.
-    lines.append(f"tune c_spread {fnum(params['c_split'])}")
-    lines.append(f"tune P {params['P']}")
-    if args.cell:
-        cell = Cell.orthorhombic(args.cell)
-        tuned = ewald_params({**cfg, "delta_split": params["delta"],
-                              "p_order": params["P"]}, cell)
-        spec = CoulombSolver(cell, tuned).spec
-        lines.append(f"tune r_c {fnum(tuned.r_c)}")
+    lines.append(f"tune c_spread {fnum(tuned['c_split'])}")
+    lines.append(f"tune P {tuned['P']}")
+    if cell is not None:
+        spec = CoulombSolver(cell, params).spec
+        lines.append(f"tune r_c {fnum(params.r_c)}")
         lines.append(f"tune grid {spec.M[0]} {spec.M[1]} {spec.M[2]}")
         lines.append("tune spacing " + " ".join(fnum(s) for s in spec.spacing))
     lines.append(f"tune oversampling {fnum(cfg['oversampling'])}")
@@ -398,47 +379,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-def _random_system(n: int, density: float, seed: int) -> ParticleSystem:
-    rng = np.random.default_rng(seed)
-    L = (n / density) ** (1.0 / 3.0)
-    pos = rng.uniform(0.0, L, (n, 3))
-    q = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    if n % 2:
-        q = q - q.sum() / n
-    return ParticleSystem(cell=Cell.orthorhombic([L, L, L]), positions=pos,
-                          charges=q)
-
-
-def cmd_bench(args) -> int:
-    cfg = resolve_config(args)
-    lines = config_header(cfg, "bench")
-    lines.append("bench-columns n wall_seconds grid_x grid_y grid_z")
-    times, ns = [], []
-    for n in args.sizes:
-        sys = _random_system(n, args.density, cfg["seed"])
-        params = ewald_params(cfg, sys.cell)
-        solver = CoulombSolver(sys.cell, params)
-        neighbors = build_cell_list(sys, params.r_c)
-        solver.evaluate(sys, neighbors=neighbors)   # warm tables and plans
-        t0 = time.perf_counter()
-        for _ in range(args.repeats):
-            neighbors = build_cell_list(sys, params.r_c)
-            solver.evaluate(sys, neighbors=neighbors)
-        wall = (time.perf_counter() - t0) / args.repeats
-        lines.append(f"bench {n} {fnum(wall)} "
-                     f"{solver.spec.M[0]} {solver.spec.M[1]} {solver.spec.M[2]}")
-        times.append(wall)
-        ns.append(n)
-    if len(ns) >= 2:
-        slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
-        lines.append(f"bench-slope {fnum(slope)}")
-    _emit(lines, args.output)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # simulate
 
 def cmd_simulate(args) -> int:
@@ -477,32 +417,17 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _positive(typ):
-    """argparse type: a finite positive ``typ``."""
-    def parse(tok):
-        try:
-            val = typ(tok)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected {typ.__name__}, got {tok!r}") from None
-        if not 0 < val < np.inf:
-            raise argparse.ArgumentTypeError(
-                f"{tok!r} is not finite and positive")
-        return val
-    return parse
-
-
-def _positive_list(typ, count=None):
-    """argparse type: comma-separated finite positive ``typ`` values."""
-    one = _positive(typ)
-
-    def parse(tok):
-        vals = [one(t) for t in tok.split(",")]
-        if count is not None and len(vals) != count:
-            raise argparse.ArgumentTypeError(
-                f"{tok!r} is not {count} comma-separated values")
-        return vals
-    return parse
+def _cell_lengths(tok):
+    """argparse type of --cell: three comma-separated finite positive floats."""
+    try:
+        vals = [float(t) for t in tok.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {tok!r}") from None
+    if len(vals) != 3 or not all(0 < v < np.inf for v in vals):
+        raise argparse.ArgumentTypeError(
+            f"{tok!r} is not 3 finite positive lengths")
+    return vals
 
 
 def _add_options(p, options):
@@ -537,16 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantity", required=True,
                    choices=("diag-pressure", "offdiag-pressure", "force"))
     p.add_argument("--target", required=True, type=float)
-    p.add_argument("--cell", type=_positive_list(float, 3),
+    p.add_argument("--cell", type=_cell_lengths,
                    help="Lx,Ly,Lz to also plan the grid")
     command("compute", cmd_compute, "energy/forces/pressure for one file")
     command("verify", cmd_verify, "oracle suite; nonzero exit on failure")
-    p = command("bench", cmd_bench, "timing vs N at fixed density",
-                input_file=False)
-    p.add_argument("--sizes", required=True, type=_positive_list(int),
-                   help="comma-separated N values")
-    p.add_argument("--density", type=_positive(float), default=0.5)
-    p.add_argument("--repeats", type=_positive(int), default=3)
     command("local-pressure", cmd_local_pressure,
             "per-particle far-field tensors")
     p = command("simulate", cmd_simulate, "NPT run on a particle file")

@@ -132,6 +132,9 @@ class CoulombSolver:
                                  "call rebind_cell first")
         if neighbors is None:
             neighbors = build_cell_list(sys, self.params.r_c)
+        elif neighbors.r_c < self.params.r_c:
+            raise ParameterError(f"neighbor list built for r_c={neighbors.r_c} "
+                                 f"misses pairs within r_c={self.params.r_c}")
         sr = short_range(sys, self.kern, neighbors, table=self.pair_table)
 
         rho = forward_density(sys, self.spec, self.provider)

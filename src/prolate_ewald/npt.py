@@ -20,12 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evaluate import CoulombSolver, EwaldParameters, kinetic_pressure
+from .evaluate import (CoulombSolver, EwaldParameters, ParameterError,
+                       kinetic_pressure)
 from .realspace import _add_pair_forces
 from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
                      check_cutoff, minimum_image)
 
-KB_DEFAULT = 1.0
+# The barostat stops a run whose volume falls below this (reduced units).
+VOLUME_FLOOR = 1e-6
 
 
 class SimulationError(Exception):
@@ -44,31 +46,31 @@ class NptConfig:
     barostat: bool = False
     barostat_noise: bool = True
     seed: int = 0
-    kB: float = KB_DEFAULT
     ewald: EwaldParameters = field(default_factory=lambda: EwaldParameters(r_c=1.0))
     softcore_coeff: float = 1.0
-    volume_floor: float = 1e-6
     force_ceiling: float = 1e8
     record_every: int = 10
     burn_in_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise SimulationError("dt must be positive")
-        if self.tau_P <= 0:
-            raise SimulationError("tau_P must be positive")
-        if self.beta_T < 0:
-            raise SimulationError("beta_T must be nonnegative")
-        if self.n_steps < 0:
-            raise SimulationError("n_steps must be nonnegative")
-        if self.record_every < 1:
-            raise SimulationError("record_every must be at least 1")
-        if self.thermostat_period < 0:
-            raise SimulationError("thermostat_period must be nonnegative")
-        if not 0.0 <= self.burn_in_fraction < 1.0:
-            raise SimulationError("burn_in_fraction must lie in [0, 1)")
-        if self.target_T < 0:
-            raise SimulationError("target_T must be nonnegative")
+        finite = np.isfinite
+        for name, need, ok in (
+                ("dt", "finite and > 0", finite(self.dt) and self.dt > 0),
+                ("n_steps", ">= 0", self.n_steps >= 0),
+                ("target_T", "finite and >= 0",
+                 finite(self.target_T) and self.target_T >= 0),
+                ("target_P0", "finite", finite(self.target_P0)),
+                ("tau_P", "finite and > 0",
+                 finite(self.tau_P) and self.tau_P > 0),
+                ("beta_T", "finite and >= 0",
+                 finite(self.beta_T) and self.beta_T >= 0),
+                ("thermostat_period", ">= 0", self.thermostat_period >= 0),
+                ("softcore_coeff", "finite", finite(self.softcore_coeff)),
+                ("record_every", ">= 1", self.record_every >= 1),
+                ("burn_in_fraction", "in [0, 1)",
+                 0.0 <= self.burn_in_fraction < 1.0)):
+            if not ok:
+                raise SimulationError(f"{name}={getattr(self, name)!r} must be {need}")
 
 
 @dataclass
@@ -105,6 +107,9 @@ def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
     """
     if neighbors is None:
         neighbors = build_cell_list(sys, cutoff)
+    elif neighbors.r_c < cutoff:
+        raise ParameterError(f"neighbor list built for r_c={neighbors.r_c} "
+                             f"misses pairs within cutoff={cutoff}")
     n = sys.n
     if neighbors.i.size == 0:
         return 0.0, np.zeros((n, 3)), np.zeros((3, 3))
@@ -125,19 +130,18 @@ def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
 
 
 def maxwell_boltzmann_momenta(masses: np.ndarray, target_T: float,
-                              rng: np.random.Generator,
-                              kB: float = KB_DEFAULT) -> np.ndarray:
-    """Thermal momenta with the center-of-mass drift removed."""
-    sigma = np.sqrt(kB * target_T * masses)[:, None]
+                              rng: np.random.Generator) -> np.ndarray:
+    """Thermal momenta with the center-of-mass drift removed (k_B = 1)."""
+    sigma = np.sqrt(target_T * masses)[:, None]
     p = sigma * rng.standard_normal((masses.size, 3))
     p -= masses[:, None] * (p.sum(axis=0) / masses.sum())
     return p
 
 
-def kinetic_temperature(sys: ParticleSystem, kB: float = KB_DEFAULT) -> float:
+def kinetic_temperature(sys: ParticleSystem) -> float:
+    """2 KE / (k_B dof) with k_B = 1 and the center of mass removed."""
     ke = 0.5 * float(np.sum(sys.momenta**2 / sys.masses[:, None]))
-    dof = 3 * sys.n - 3
-    return 2.0 * ke / (dof * kB)
+    return 2.0 * ke / (3 * sys.n - 3)
 
 
 def _neighbors(state: NptState, reach: float) -> NeighborList:
@@ -185,7 +189,7 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
                   rng: np.random.Generator) -> NptState:
     """Euler-Maruyama step of the stochastic cell-rescaling SDE.
 
-    d(eps) = -(beta_T/tau_P)(P0 - P_ins) dt + sqrt(2 kB T beta_T/(V tau_P)) dW
+    d(eps) = -(beta_T/tau_P)(P0 - P_ins) dt + sqrt(2 T beta_T/(V tau_P)) dW
     followed by V <- V e^{eps} with an affine position rescale.
     """
     sys = state.system
@@ -193,12 +197,12 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
     drift = -(cfg.beta_T / cfg.tau_P) * (cfg.target_P0 - p_ins_scalar) * cfg.dt
     noise = 0.0
     if cfg.barostat_noise and cfg.beta_T > 0:
-        amp = np.sqrt(2.0 * cfg.kB * cfg.target_T * cfg.beta_T / (V * cfg.tau_P))
+        amp = np.sqrt(2.0 * cfg.target_T * cfg.beta_T / (V * cfg.tau_P))
         noise = amp * np.sqrt(cfg.dt) * rng.standard_normal()
     deps = drift + noise
 
     new_volume = V * np.exp(deps)
-    if new_volume < cfg.volume_floor:
+    if new_volume < VOLUME_FLOOR:
         raise SimulationError(f"volume collapsed below floor: {new_volume:.3e}")
     scale = np.exp(deps / 3.0)
     new_cell = Cell(h=scale * sys.cell.h)
@@ -243,7 +247,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if initialize_momenta:
-        p0 = maxwell_boltzmann_momenta(sys.masses, cfg.target_T, rng, cfg.kB)
+        p0 = maxwell_boltzmann_momenta(sys.masses, cfg.target_T, rng)
         sys = replace(sys, momenta=p0)
     solver = solver or CoulombSolver(sys.cell, cfg.ewald)
     state = NptState(system=sys, solver=solver)
@@ -258,7 +262,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
         V = s.cell.volume
         e_tot = u_coul + u_sc + ke
         records.append(ThermoRecord(
-            step=step, temperature=kinetic_temperature(s, cfg.kB),
+            step=step, temperature=kinetic_temperature(s),
             pressure=p_ins, volume=V, u_coulomb=u_coul, u_softcore=u_sc,
             kinetic=ke, enthalpy=e_tot + cfg.target_P0 * V))
 
@@ -284,7 +288,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
 
         if cfg.thermostat_period and step % cfg.thermostat_period == 0:
             s = state.system
-            t_now = kinetic_temperature(s, cfg.kB)
+            t_now = kinetic_temperature(s)
             if t_now > 0:
                 lam = np.sqrt(cfg.target_T / t_now)
                 state.system = replace(s, momenta=lam * s.momenta)

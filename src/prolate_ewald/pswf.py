@@ -43,7 +43,7 @@ class DomainError(PswfError):
     """Argument outside the domain of the requested evaluation."""
 
 
-def _legendre_coefficients(c: float, n_min: int | None = None) -> np.ndarray:
+def _legendre_coefficients(c: float) -> np.ndarray:
     """Expansion coefficients of psi_0^c over (unnormalized-index) Legendre basis.
 
     Returns the full coefficient vector ``coef`` such that
@@ -53,8 +53,6 @@ def _legendre_coefficients(c: float, n_min: int | None = None) -> np.ndarray:
     # Matrix elements of L in the *normalized* Legendre basis restricted to
     # even orders k = 0, 2, 4, ...
     n_even = max(int(np.ceil(c)) + 16, 40)
-    if n_min is not None:
-        n_even = max(n_even, n_min)
     for _ in range(8):
         k = 2.0 * np.arange(n_even)
         diag = k * (k + 1.0) + c * c * (2.0 * k * (k + 1.0) - 1.0) / (

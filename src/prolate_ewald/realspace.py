@@ -50,14 +50,6 @@ class PairTable:
         p = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
         return 1.0 / r - p[..., 0], p[..., 1]
 
-    def near_field(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r >= self.r_c, 0.0, self.eval(np.minimum(r, self.r_c))[0])
-
-    def fn_weight(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r > self.r_c, 0.0, self.eval(np.minimum(r, self.r_c))[1])
-
 
 def build_pair_table(kern: SplitKernel, resolution: int = 4096) -> PairTable:
     """Tabulate far_field and fn_weight as cubic splines on a uniform grid.

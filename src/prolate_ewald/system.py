@@ -33,6 +33,8 @@ class Cell:
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float).reshape(3, 3)
         object.__setattr__(self, "h", h)
+        if not np.isfinite(h).all():
+            raise CellError("cell matrix must be finite")
         det = np.linalg.det(h)
         if det <= 0.0:
             raise CellError("cell matrix must be right-handed with positive volume")
@@ -128,7 +130,8 @@ class NeighborList:
     deterministic for a given input but not sorted.  The skin lets a list
     outlive its configuration: npt.integrate reuses one list from step to
     step, across cell rescales too, until a pair outside it could have come
-    within r_c, and the pair passes mask every pair to their own cutoff.
+    within r_c.  The pair passes mask every pair to their own cutoff and
+    reject a list whose r_c is below it.
     """
 
     i: np.ndarray

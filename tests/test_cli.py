@@ -104,6 +104,16 @@ class TestParticleFiles:
         with pytest.raises(InputError, match="5 columns"):
             read_particles(path)
 
+    @pytest.mark.parametrize("header", ["cell nan 1 1", "cell inf 5 5",
+                                        "cell3 5 0 0 0 5 0 0 nan 5"])
+    def test_non_finite_cell_is_usage_error(self, tmp_path, capsys, header):
+        path = tmp_path / "cell.txt"
+        path.write_text(f"{header}\n1 1 1 1.0 1.0\n")
+        code, out = run_cli("compute", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cell matrix must be finite" in capsys.readouterr().err
+
     def test_nan_coordinate_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "nan.txt"
         path.write_text("cell 5 5 5\n1 nan 3 1.0 1.0\n2 2 2 -1.0 1.0\n")
@@ -183,6 +193,30 @@ class TestTune:
         out = tune_parameters("diag-pressure", 1e-3)
         assert out["delta"] == pytest.approx(1e-3 / 3, rel=1e-6)
         assert out["P"] == 5
+
+    @pytest.mark.parametrize("quantity, target, divisor, P", [
+        ("force", 4e-4, 1, 5), ("force", 1e-8, 1, 9),
+        ("diag-pressure", 3e-6, 3, 7), ("offdiag-pressure", 1e-2, 3, 4),
+        ("diag-pressure", 2.5e-5, 3, 7)])
+    def test_delta_is_target_over_divisor(self, quantity, target, divisor, P):
+        code, text = run_cli("tune", "--quantity", quantity,
+                             "--target", repr(target))
+        assert code == 0
+        rec = {r[0]: r[1:] for r in parse_records(text)["tune"]}
+        assert float(rec["delta"][0]) == target / divisor
+        assert rec["P"] == [str(P)]
+        # The header echoes the tuned parameters, not the defaults.
+        assert f"# config delta_split = {target / divisor:.17g}\n" in text
+        assert f"# config p_order = {P}\n" in text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--r-c", "nan"), ("--force-mode", "spline"), ("--prefactor", "inf")])
+    def test_bad_ewald_parameter_without_cell(self, flag, value, capsys):
+        code, out = run_cli("tune", "--quantity", "force", "--target", "1e-4",
+                            flag, value)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_force_spacing_example(self):
         code, text = run_cli("tune", "--quantity", "force",
@@ -345,7 +379,10 @@ class TestCompute:
         code, _ = run_cli("compute", "--input", str(FIXTURES / "pair.txt"),
                           "--delta-split", "1e-5", "--output", str(out))
         assert code == 0
-        assert "# config delta_split = 1.0000000000000001e-05" in out.read_text()
+        text = out.read_text()
+        assert "# config delta_split = 1.0000000000000001e-05" in text
+        # Every header echoes the full configuration, seed included.
+        assert "# config seed = 0" in text
 
 
 class TestVerify:
@@ -426,16 +463,6 @@ class TestLocalPressure:
                                    atol=1e-14)
 
 
-class TestBench:
-    def test_quick_slope_record(self):
-        code, text = run_cli("bench", "--sizes", "64,128", "--repeats", "1",
-                             "--delta-split", "1e-3")
-        assert code == 0
-        rec = parse_records(text)
-        assert len(rec["bench"]) == 2
-        assert "bench-slope" in rec
-
-
 class TestSimulate:
     def test_short_run_artifacts(self, tmp_path):
         out = tmp_path / "run.txt"
@@ -472,6 +499,21 @@ class TestSimulate:
                           "--record-every", "0")
         assert code == 3
         assert capsys.readouterr().err.startswith("error: record_every")
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--dt", "dt"), ("--tau-p", "tau_P"), ("--beta-t", "beta_T"),
+        ("--target-t", "target_T"), ("--target-p0", "target_P0"),
+        ("--softcore-coeff", "softcore_coeff")])
+    def test_nan_npt_parameter_is_named(self, flag, field, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no numpy RuntimeWarning either
+            code, out = run_cli("simulate", "--input",
+                                str(FIXTURES / "cluster64.txt"), "--n-steps",
+                                "3", "--r-c", "1.6", "--delta-split", "1e-3",
+                                flag, "nan")
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err.startswith(f"error: {field}=nan must")
 
     def test_seeded_runs_identical(self, tmp_path):
         argv = ("simulate", "--input", str(FIXTURES / "cluster64.txt"),
@@ -517,16 +559,27 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("argv", [
         ("tune", "--quantity", "force", "--target", "1e-4", "--cell", "a,b,c"),
-        ("bench", "--sizes", "abc"),
-        ("bench", "--sizes", "64", "--repeats", "0"),
-        ("bench", "--sizes", "64", "--density", "-1")],
-        ids=["cell", "sizes", "repeats", "density"])
+        ("tune", "--quantity", "force", "--target", "1e-4", "--cell", "3,3"),
+        ("tune", "--quantity", "force", "--target", "1e-4", "--cell", "3,0,3")],
+        ids=["cell", "cell-count", "cell-sign"])
     def test_bad_number_flag_is_usage_error(self, argv, capsys):
         code, out = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 2
         assert out == ""
         assert "error: argument" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--sizes", "64"),
+        ("compute", "--input", str(FIXTURES / "pair.txt"), "--seed", "1"),
+        ("tune", "--quantity", "force", "--target", "1e-4", "--seed", "1")],
+        ids=["bench", "compute-seed", "tune-seed"])
+    def test_removed_command_and_seed_flag_rejected(self, argv, capsys):
+        # Only simulate draws random numbers, so only it takes --seed.
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
 
     def test_usage_error_for_bad_flags(self):
         code, _ = run_cli("tune", "--quantity", "diag-pressure",

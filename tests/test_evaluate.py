@@ -7,6 +7,7 @@ from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
                            ParticleSystem, evaluate_exact, evaluate_system)
 from prolate_ewald import evaluate
 from prolate_ewald.evaluate import ParameterError
+from prolate_ewald.system import build_cell_list
 
 from conftest import random_neutral_system
 
@@ -40,6 +41,35 @@ class TestCellCheck:
         solver = CoulombSolver(Cell.orthorhombic((6.0, 6.0, 6.0)),
                                EwaldParameters(r_c=2.0, delta_split=1e-4))
         assert np.isfinite(solver.evaluate(sys).energy)
+
+
+class TestNeighborCutoff:
+    def system_and_solver(self):
+        rng = np.random.default_rng(5)
+        sys = ParticleSystem(cell=Cell.orthorhombic((8.0,) * 3),
+                             positions=rng.uniform(0.0, 8.0, (200, 3)),
+                             charges=rng.permutation(np.repeat([1.0, -1.0], 100)))
+        return sys, CoulombSolver(sys.cell, EwaldParameters(r_c=2.0,
+                                                            delta_split=1e-4))
+
+    def test_short_list_rejected(self):
+        # A list built at 1.0 would drop most pairs within r_c = 2.0.
+        sys, solver = self.system_and_solver()
+        with pytest.raises(ParameterError, match="r_c=1.0"):
+            solver.evaluate(sys, neighbors=build_cell_list(sys, 1.0))
+
+    def test_longer_list_masked_to_cutoff(self):
+        # Pairs listed beyond r_c are dropped: a list with a skin, or built
+        # at a larger cutoff, gives the numbers of the default list.
+        sys, solver = self.system_and_solver()
+        want = solver.evaluate(sys)
+        for nl in (build_cell_list(sys, 2.0, skin=0.5),
+                   build_cell_list(sys, 3.0)):
+            got = solver.evaluate(sys, neighbors=nl)
+            assert got.pair_count == want.pair_count
+            assert got.energy == pytest.approx(want.energy, rel=1e-12)
+            np.testing.assert_allclose(got.forces, want.forces, rtol=0,
+                                       atol=1e-12)
 
 
 class TestRebind:

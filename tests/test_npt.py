@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prolate_ewald import npt
-from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
+from prolate_ewald.evaluate import CoulombSolver, EwaldParameters, ParameterError
 from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
                                ThermoRecord, barostat_step, integrate,
                                kinetic_temperature, maxwell_boltzmann_momenta,
@@ -46,6 +46,13 @@ class TestConfig:
             with pytest.raises(SimulationError):
                 toy_config(**bad)
 
+    @pytest.mark.parametrize("name", ["dt", "tau_P", "beta_T", "target_T",
+                                      "target_P0", "softcore_coeff"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(SimulationError, match=f"^{name}="):
+            toy_config(**{name: value})
+
     def test_zero_steps_initial_record_only(self):
         stats = integrate(toy_config(n_steps=0), toy_system())
         assert len(stats.records) == 1
@@ -78,6 +85,17 @@ class TestSoftcore:
         e, f, p = softcore_interactions(self.pair(3.0), 1.0, 1.5)
         assert e == 0.0
         assert np.all(f == 0.0) and np.all(p == 0.0)
+
+    def test_short_list_rejected(self):
+        sys = self.pair(0.8)
+        with pytest.raises(ParameterError, match="cutoff=1.5"):
+            softcore_interactions(sys, 1.0, 1.5,
+                                  neighbors=build_cell_list(sys, 1.0))
+        # A list with a skin holds the pair at 1.8 > 1.5, which is dropped.
+        far = self.pair(1.8)
+        e, f, p = softcore_interactions(far, 1.0, 1.5,
+                                        neighbors=build_cell_list(far, 1.5, 0.5))
+        assert e == 0.0 and np.all(f == 0.0) and np.all(p == 0.0)
 
     def test_force_is_energy_gradient(self):
         d, c, A = 0.9, 1.5, 2.0

@@ -79,12 +79,14 @@ def table_cases():
 
 
 class TestBuildPairTable:
+    # table.eval covers (0, r_c]; short_range drops pairs beyond r_c before
+    # it (TestShortRangePair::test_listed_pair_beyond_cutoff_is_dropped).
     def test_near_field_matches_direct(self, basis_c12):
         kern = SplitKernel(basis=basis_c12, r_c=1.3)
         table = build_pair_table(kern)
         r = np.exp(np.linspace(np.log(1e-5 * kern.r_c), np.log(kern.r_c),
                                10_000))
-        got = table.near_field(r)
+        got = table.eval(r)[0]
         want = near_field(kern, r)
         scale = np.maximum(np.abs(want), np.abs(near_field(kern, kern.r_c / 2)))
         assert np.max(np.abs(got - want) / scale) < 1e-10
@@ -92,22 +94,15 @@ class TestBuildPairTable:
             want = near_field(kern, r)
             scale = np.maximum(np.abs(want),
                                np.abs(near_field(kern, kern.r_c / 2)))
-            assert np.max(np.abs(table.near_field(r) - want) / scale) < 1e-12
+            assert np.max(np.abs(table.eval(r)[0] - want) / scale) < 1e-12
 
     def test_fn_weight_matches_direct(self, basis_c12):
         kern = SplitKernel(basis=basis_c12, r_c=1.3)
         table = build_pair_table(kern)
         r = np.linspace(1e-4, kern.r_c, 10_000)
-        assert np.max(np.abs(table.fn_weight(r) - fn_weight(kern, r))) < 1e-10
+        assert np.max(np.abs(table.eval(r)[1] - fn_weight(kern, r))) < 1e-10
         for kern, table, r in table_cases():
-            assert np.max(np.abs(table.fn_weight(r) - fn_weight(kern, r))) < 1e-12
-
-    def test_zero_beyond_cutoff(self, basis_c10):
-        kern = SplitKernel(basis=basis_c10, r_c=0.9)
-        table = build_pair_table(kern)
-        r = np.array([kern.r_c, 1.1 * kern.r_c, 5.0 * kern.r_c])
-        assert np.all(table.near_field(r) == 0.0)
-        assert np.all(table.fn_weight(r)[1:] == 0.0)
+            assert np.max(np.abs(table.eval(r)[1] - fn_weight(kern, r))) < 1e-12
 
 
 class TestShortRangePair:
@@ -137,6 +132,19 @@ class TestShortRangePair:
         assert res.energy == 0.0
         assert np.all(res.forces == 0.0)
         assert np.all(res.pressure == 0.0)
+
+    def test_listed_pair_beyond_cutoff_is_dropped(self, basis_c10):
+        # A list with a skin holds the pair at 1.8; r_c = 1.5 drops it, on
+        # the table path and on the closed-form path.
+        kern = SplitKernel(basis=basis_c10, r_c=1.5)
+        sys = pair_system(1.8)
+        nb = build_cell_list(sys, kern.r_c, skin=0.5)
+        assert nb.n_pairs == 1
+        for table in (build_pair_table(kern), None):
+            res = short_range(sys, kern, nb, table=table)
+            assert res.pair_count == 0
+            assert res.energy == 0.0
+            assert np.all(res.forces == 0.0) and np.all(res.pressure == 0.0)
 
     def test_coincident_particles_raise(self, basis_c10):
         kern = SplitKernel(basis=basis_c10, r_c=1.5)

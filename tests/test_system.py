@@ -1,6 +1,7 @@
 """Tests for cells, minimum image, particle snapshots, and neighbor search."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,14 @@ class TestReciprocalBasis:
         h = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(CellError):
             Cell(h=h)
+
+    def test_non_finite_cell(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # no numpy RuntimeWarning either
+            with pytest.raises(CellError, match="finite"):
+                Cell(h=np.eye(3) * np.nan)
+            with pytest.raises(CellError, match="finite"):
+                Cell.orthorhombic([np.inf, 1.0, 1.0])
 
 
 class TestMinimumImage:

@@ -4,10 +4,10 @@
 Sweeps the split tolerance over static random charge configurations and
 records the achieved relative errors of forces and of the diagonal and
 off-diagonal pressure components against the gridless mode-sum reference.
-The anchors in prolate_ewald.cli.TUNE_ANCHORS are read off this table:
-force error tracks delta_split with a constant below one, while the
-pressure components can reach the tolerance itself, hence the factor-three
-safety in the pressure anchors.
+The divisors in prolate_ewald.cli.TUNE_DIVISORS are read off this table:
+force error tracks delta_split with a constant below one, so tune sets
+delta_split to the target, while the pressure components can reach the
+tolerance itself, so tune sets delta_split to a third of the target.
 
 The sweep uses static random configurations, not snapshots drawn from a
 running simulation, so error constants for strongly structured systems
