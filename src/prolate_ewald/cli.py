@@ -162,19 +162,25 @@ def read_config(path) -> dict:
     return out
 
 
-def resolve_config(args, **defaults) -> dict:
+def resolve_config(args, reserved=(), **defaults) -> dict:
     """defaults < config file < explicit flags; deterministic.
 
-    Keyword arguments replace built-in defaults for one subcommand.
+    Keyword arguments replace built-in defaults for one subcommand.  The
+    keys in ``reserved`` are set by the subcommand itself; a config file or
+    flag that sets one raises InputError naming it.
     """
     cfg = {key: default for key, (_, default) in OPTIONS.items()}
     cfg.update(defaults)
-    if getattr(args, "config", None):
-        cfg.update(read_config(args.config))
+    given = read_config(args.config) if getattr(args, "config", None) else {}
     for key in OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            cfg[key] = flag
+            given[key] = flag
+    for key in reserved:
+        if key in given:
+            raise InputError(f"{key} is set by {args.command} itself; remove it "
+                             f"from the flags and the config file")
+    cfg.update(given)
     if cfg["p_order"] is None:
         cfg["p_order"] = default_order(cfg["delta_split"])
     return cfg
@@ -254,7 +260,8 @@ def tune_parameters(quantity: str, target: float) -> dict:
 
 
 def cmd_tune(args) -> int:
-    cfg = resolve_config(args, oversampling=TUNE_OVERSAMPLING)
+    cfg = resolve_config(args, reserved=("delta_split", "p_order"),
+                         oversampling=TUNE_OVERSAMPLING)
     tuned = tune_parameters(args.quantity, args.target)
     cfg.update(delta_split=tuned["delta"], p_order=tuned["P"])
     cell = Cell.orthorhombic(args.cell) if args.cell else None

@@ -1,13 +1,16 @@
 """FFT particle-mesh pipeline for the long-range (far-field) contribution.
 
 The pipeline is: build the stencil of the configuration once (for every
-particle the P^3 grid nodes that its separable prolate window covers, and
-the window weights there), spread charges through it onto a uniform mesh,
-take one forward FFT, apply diagonal (mode-by-mode) scaling, and either
-reduce over modes (energy, global pressure: no inverse transform) or
-inverse-transform and gather through the same stencil (forces, per-particle
-pressure).  forward_density returns the Fourier coefficients together with
-the stencil, so each configuration builds it exactly once.
+particle the base node and the separable prolate window factors along each
+axis), spread charges through it onto a uniform mesh, take one real-to-
+complex forward FFT, apply diagonal (mode-by-mode) scaling on the half
+spectrum, and either reduce over modes (energy, global pressure: no inverse
+transform) or run one stacked inverse FFT of all the fields needed and
+gather through the same stencil (forces, per-particle pressure).
+forward_density returns the Fourier coefficients together with the stencil,
+so each configuration builds it exactly once.  The P^3 node indices and
+weight products of the stencil are expanded in particle chunks of at most
+CHUNK_NODES nodes and never stored, so memory stays bounded as N and P grow.
 
 Any cell, triclinic or orthorhombic, takes the same path, as in smooth PME
 (Essmann et al., JCP 1995): the mesh is uniform in the fractional
@@ -17,7 +20,8 @@ separable in s.  Grid index m is the wavevector k = 2 pi h^-T m.
 Conventions.  Continuum Fourier pair on the periodic cell:
 f_hat(k) = int f(r) exp(-i k r) dr,  f(r) = (1/V) sum_k f_hat(k) exp(i k r).
 Grid arrays relate by f_hat(k_m) = (V / prod M) * fftn(f)[m] (trapezoidal,
-exact for band-limited fields up to aliasing).
+exact for band-limited fields up to aliasing); a real f keeps the modes
+0 <= m_3 <= M_3/2 of rfftn, the others being their complex conjugates.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .kernel import SplitKernel, mode_kernel
 from .pswf import WindowTable
@@ -40,11 +45,13 @@ class MeshError(Exception):
 
 
 class TransformProvider:
-    """Pluggable 3D periodic FFT contract with call counters.
+    """Pluggable 3D periodic real FFT contract with call counters.
 
-    ``forward`` maps a real-space array to (unnormalized) DFT coefficients;
-    ``inverse`` is its exact inverse.  Counters make transform economy
-    claims testable.
+    ``forward`` maps a real grid to its (unnormalized) DFT coefficients on
+    the half spectrum M_1 x M_2 x (M_3/2 + 1); ``inverse`` is its exact
+    inverse, applied to a stack of half spectra over the last three axes
+    in one call, given the grid counts ``shape``.  Counters make transform
+    economy claims testable.
     """
 
     def __init__(self):
@@ -53,11 +60,11 @@ class TransformProvider:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         self.forward_count += 1
-        return np.fft.fftn(values)
+        return scipy.fft.rfftn(values)
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
+    def inverse(self, values: np.ndarray, shape: tuple) -> np.ndarray:
         self.inverse_count += 1
-        return np.fft.ifftn(values)
+        return scipy.fft.irfftn(values, s=shape, axes=(-3, -2, -1))
 
 
 @dataclass(frozen=True)
@@ -127,100 +134,160 @@ def plan_grid(cell: Cell, kern: SplitKernel, window: WindowTable,
                     spacing=tuple(float(s) for s in spacing), window=window)
 
 
+# Stencil nodes expanded at a time: the flat indices and weight products of
+# one chunk of particles, whatever N and P.
+CHUNK_NODES = 2**14
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Fourier coefficients of the spread charge and the stencil that spread it.
 
-    ``values`` holds rho_hat(k_m) with continuum normalization.  ``flat`` and
-    ``weights`` (N x P^3) are every particle's stencil nodes as flat grid
-    indices and their window products W(t_1) W(t_2) W(t_3); ``offsets``
-    (N x 3) are the fractional offsets that set the window at the nodes.
-    ``cell`` is the cell of the configuration.  Every gather of the
-    configuration goes through this one stencil.
+    ``values`` holds rho_hat(k_m) with continuum normalization on the half
+    spectrum M_1 x M_2 x (M_3/2 + 1) of the real charge grid.  The stencil is
+    kept separable: ``first`` (N x 3) is every particle's base node, reduced
+    mod M, ``factors`` (N x 3 x P) the window at its P nodes along each axis,
+    and ``offsets`` (N x 3) the fractional offsets that set the window.
+    ``cell`` and ``spec`` are the configuration's cell and plan.  Every
+    gather of the configuration goes through this one stencil.
     """
 
     values: np.ndarray
-    flat: np.ndarray
-    weights: np.ndarray
+    first: np.ndarray
+    factors: np.ndarray
     offsets: np.ndarray
     cell: Cell
+    spec: GridSpec
 
-    def gather(self, field: np.ndarray) -> np.ndarray:
-        """sum over the stencil of field(r_g) W(r_g - r_j), per particle."""
-        return np.einsum("np,np->n", field.reshape(-1)[self.flat], self.weights)
+    def gather(self, fields: np.ndarray) -> np.ndarray:
+        """sum over the stencil of fields[f](r_g) W(r_g - r_j) (F x N).
 
-    def gather_gradient(self, field: np.ndarray, spec: GridSpec) -> np.ndarray:
+        ``fields`` stacks F real grids (F x M_1 x M_2 x M_3); one pass over
+        the stencil chunks gathers all of them.
+        """
+        values = fields.reshape(len(fields), -1)
+        out = np.empty((len(fields), len(self.first)))
+        for part, flat, w in _chunks(self.first, self.factors, self.spec):
+            weights = _products(w)
+            for f, field in enumerate(values):
+                out[f, part] = np.einsum("pn,pn->n", np.take(field, flat), weights)
+        return out
+
+    def gather_gradient(self, field: np.ndarray) -> np.ndarray:
         """sum over the stencil of field(r_g) grad_j W(r_j - r_g) (N x 3).
 
-        The window and its gradient come from the offsets; the P^3 weight
-        products are never formed for the gradient.  The gradient in grid
-        units u = M s maps to Cartesian through du/dr = diag(M) h^-1.
+        The window comes from the stored factors and its gradient from the
+        offsets; the P^3 weight products are never formed for the gradient.
+        The gradient in grid units u = M s maps to Cartesian through
+        du/dr = diag(M) h^-1.
         """
-        w = spec.window(self.offsets)
-        dw = spec.window(self.offsets, derivative=1)
-        P = spec.P
-        vals = field.reshape(-1)[self.flat].reshape(-1, P, P, P)
-        out = np.empty((vals.shape[0], 3))
-        for d in range(3):
-            factors = [dw[:, e] if e == d else w[:, e] for e in range(3)]
-            out[:, d] = np.einsum("nabc,na,nb,nc->n", vals, *factors,
-                                  optimize=True)
-        return out @ (np.asarray(spec.M)[:, None] * self.cell.inverse)
+        spec, P = self.spec, self.spec.P
+        dw = _by_particle(spec.window(self.offsets, derivative=1))
+        values = field.reshape(-1)
+        out = np.empty((3, len(self.first)))
+        for part, flat, (wx, wy, wz) in _chunks(self.first, self.factors, spec):
+            dx, dy, dz = dw[:, :, part]
+            vals = np.take(values, flat).reshape(P, P, P, -1)
+            # Contract the z nodes first: with W for the x and y components,
+            # with W' for the z component.
+            z = np.einsum("abcn,cn->abn", vals, wz)
+            z_dz = np.einsum("abcn,cn->abn", vals, dz)
+            out[0, part] = np.einsum("abn,an,bn->n", z, dx, wy)
+            out[1, part] = np.einsum("abn,an,bn->n", z, wx, dy)
+            out[2, part] = np.einsum("abn,an,bn->n", z_dz, wx, wy)
+        return out.T @ (np.asarray(spec.M)[:, None] * self.cell.inverse)
 
 
 def _window_weights(sys: ParticleSystem, spec: GridSpec):
     """The stencil of one configuration, for spreading and every gather.
 
     Along each axis a particle at u = M s (grid units, s its fractional
-    coordinate) covers the P nodes first, ..., first + P - 1 with
+    coordinate) covers the P nodes first, ..., first + P - 1 (mod M) with
     first = floor(u - P/2) + 1: odd P centres the stencil on the nearest
-    node, even P on the midpoint of the two nearest.  Node j sits at t_j = P/2 - 1 - j + f from the particle, with
-    f = frac(u - P/2), so the window table gives all P weights from f.
-    Returns the flat node indices and the weight products, both N x P^3 and
-    C-contiguous, and the offsets f (N x 3).
+    node, even P on the midpoint of the two nearest.  Node j sits at
+    t_j = P/2 - 1 - j + f from the particle, with f = frac(u - P/2), so the
+    window table gives all P weights from f.  Returns the base nodes first
+    mod M (N x 3), the window factors W(t_j) (N x 3 x P) and the offsets f
+    (N x 3).
     """
     P, M = spec.P, spec.M
     a = sys.cell.fractional(sys.positions) * M - P / 2.0
     below = np.floor(a)
     offsets = a - below
-    w = spec.window(offsets)
-    weights = (w[:, 0, :, None, None] * w[:, 1, None, :, None]
-               * w[:, 2, None, None, :]).reshape(sys.n, -1)
-    first = below.astype(np.int64) + 1
-    ix, iy, iz = (np.mod(first[:, d, None] + np.arange(P), M[d]) for d in range(3))
-    flat = ((ix[:, :, None, None] * M[1] + iy[:, None, :, None]) * M[2]
-            + iz[:, None, None, :]).reshape(sys.n, -1)
-    return flat, weights, offsets
+    first = np.mod(below.astype(np.int64) + 1, M)
+    return first, spec.window(offsets), offsets
 
 
-def _deposit(flat: np.ndarray, weights: np.ndarray, charges: np.ndarray,
-             M: tuple) -> np.ndarray:
+def _by_particle(a: np.ndarray) -> np.ndarray:
+    """An N x 3 x P stencil array as 3 x P x N, particles running fastest."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
+    """Per chunk of particles: their slice, the flat indices of their stencil
+    nodes (P^3 x n) and their window factors (3 x P x n).
+
+    Particles run along the last axis, so the broadcasts that expand the
+    stencil run over whole chunks rather than over P nodes at a time.  A
+    chunk holds at most CHUNK_NODES stencil nodes (at least one particle),
+    so the expanded stencil stays bounded as N and P grow.
+    """
+    P, M = spec.P, np.asarray(spec.M)
+    # Node j along axis d of each particle, as its term of the flat index.
+    strides = np.array([M[1] * M[2], M[2], 1])
+    axes = np.mod(_by_particle(first[:, :, None] + np.arange(P)),
+                  M[:, None, None]) * strides[:, None, None]
+    factors = _by_particle(factors)
+    step = max(1, CHUNK_NODES // P**3)
+    for start in range(0, len(first), step):
+        part = slice(start, start + step)
+        a = axes[:, :, part]
+        flat = a[0, :, None, None] + a[1, None, :, None] + a[2, None, None, :]
+        yield part, flat.reshape(P**3, -1), factors[:, :, part]
+
+
+def _products(w: np.ndarray) -> np.ndarray:
+    """Weights W(t_1) W(t_2) W(t_3) at the P^3 nodes (P^3 x n) of factors w."""
+    P = w.shape[1]
+    return (w[0, :, None, None] * w[1, None, :, None]
+            * w[2, None, None, :]).reshape(P**3, -1)
+
+
+def _deposit(first: np.ndarray, factors: np.ndarray, charges: np.ndarray,
+             spec: GridSpec) -> np.ndarray:
     """Grid of sum_j q_j W(r_g - r_j), periodized across boundaries."""
-    w = weights * charges[:, None]
-    return np.bincount(flat.ravel(), weights=w.ravel(),
-                       minlength=int(np.prod(M))).reshape(M)
+    grid = np.zeros(spec.n_grid)
+    for part, flat, w in _chunks(first, factors, spec):
+        weights = _products(w)
+        weights *= charges[part]
+        np.add.at(grid, flat.ravel(), weights.ravel())
+    return grid.reshape(spec.M)
 
 
 def spread_charges(sys: ParticleSystem, spec: GridSpec) -> np.ndarray:
     """Deposit q_j W(r_g - r_j) on the mesh, periodized across boundaries."""
-    flat, weights, _ = _window_weights(sys, spec)
-    return _deposit(flat, weights, sys.charges, spec.M)
+    first, factors, _ = _window_weights(sys, spec)
+    return _deposit(first, factors, sys.charges, spec)
 
 
 def forward_density(sys: ParticleSystem, spec: GridSpec,
                     provider: TransformProvider) -> SpectralDensity:
     """Build the stencil, spread and forward-transform (continuum normalized)."""
-    flat, weights, offsets = _window_weights(sys, spec)
-    rho = _deposit(flat, weights, sys.charges, spec.M)
+    first, factors, offsets = _window_weights(sys, spec)
+    rho = _deposit(first, factors, sys.charges, spec)
     rho_hat = provider.forward(rho) * (sys.cell.volume / spec.n_grid)
-    return SpectralDensity(values=rho_hat, flat=flat, weights=weights,
-                           offsets=offsets, cell=sys.cell)
+    return SpectralDensity(values=rho_hat, first=first, factors=factors,
+                           offsets=offsets, cell=sys.cell, spec=spec)
 
 
 class ModeWorkspace:
     """Per-(spec, cell) mode arrays: wavevectors, kernel, window deconvolution.
 
-    Modes outside |k| <= kmax are zeroed; the k = 0 mode is always excluded.
+    The modes are those of the half spectrum M_1 x M_2 x (M_3/2 + 1) that a
+    real transform keeps; ``weight`` counts each retained mode once on the
+    m_3 = 0 and Nyquist (2 m_3 = M_3) planes, which hold their own mirror
+    images, and twice elsewhere, for the mirror mode -m left out.  Modes
+    outside |k| <= kmax are zeroed; the k = 0 mode is always excluded.
     A guard rejects retained modes where the window transform underflows,
     which indicates a planning failure rather than a numerical accident.
     """
@@ -232,6 +299,7 @@ class ModeWorkspace:
         B = cell.reciprocal
         G = B.T @ B
         ms = [np.fft.fftfreq(M, d=1.0 / M) for M in spec.M]
+        ms[2] = ms[2][:spec.M[2] // 2 + 1]
         axes = [m.reshape([-1 if e == d else 1 for e in range(3)])
                 for d, m in enumerate(ms)]
         k2 = sum(G[d, e] * (1.0 if d == e else 2.0) * axes[d] * axes[e]
@@ -241,16 +309,18 @@ class ModeWorkspace:
         index = np.nonzero(mask)
         self.kvec = list(B @ np.stack([m[i] for m, i in zip(ms, index)]))
         self.k2 = k2[mask]
+        self.weight = np.where((index[2] == 0) | (2 * index[2] == spec.M[2]),
+                               1.0, 2.0)
 
         # The window is separable in s, so its transform at k = B m is
         # V prod_d (P/2M_d) lambda0 psi_0(pi P m_d / (M_d c)), whatever the
-        # cell shape: psi_0 is read once per axis index (sum of M_d
-        # arguments, one call), not three times per retained mode.
+        # cell shape: psi_0 is read once per axis index (one call over the
+        # indices of all three axes), not three times per retained mode.
         sb = spec.window.basis
         arg = np.concatenate([np.pi * spec.P * m / M
                               for m, M in zip(ms, spec.M)]) / sb.c
         psi, _ = sb.psi_and_slope(np.clip(arg, -1.0, 1.0))
-        tables = np.split(psi, np.cumsum(spec.M)[:2])
+        tables = np.split(psi, np.cumsum([len(m) for m in ms])[:2])
         px, py, pz = (t[i] for t, i in zip(tables, index))
         psi3 = px * py * pz
         if np.any(np.abs(psi3) < 1e-13 * sb.psi0_at_zero**3):
@@ -269,13 +339,21 @@ class ModeWorkspace:
         return out
 
 
+# The six independent components (a, b), a <= b, of a symmetric tensor.
+PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
+
+
 def long_range_energy(rho_hat: SpectralDensity, kern: SplitKernel,
                       spec: GridSpec, cell: Cell,
                       modes: ModeWorkspace | None = None) -> float:
-    """U_F = (1/2V) sum_{k != 0} Fhat(k) What(k)^-2 |rho_hat(k)|^2."""
+    """U_F = (1/2V) sum_{k != 0} Fhat(k) What(k)^-2 |rho_hat(k)|^2.
+
+    The sum over the full spectrum is the half-spectrum sum times
+    ``modes.weight``.
+    """
     m = modes or ModeWorkspace(spec, kern, cell)
     amp2 = np.abs(rho_hat.values[m.mask]) ** 2
-    return float(np.sum(m.fhat * m.w_inv2 * amp2) / (2.0 * m.volume))
+    return float(np.sum(m.weight * m.fhat * m.w_inv2 * amp2) / (2.0 * m.volume))
 
 
 def long_range_pressure(rho_hat: SpectralDensity, kern: SplitKernel,
@@ -288,27 +366,26 @@ def long_range_pressure(rho_hat: SpectralDensity, kern: SplitKernel,
     """
     m = modes or ModeWorkspace(spec, kern, cell)
     amp2 = np.abs(rho_hat.values[m.mask]) ** 2
-    scaled = m.w_inv2 * amp2 / (2.0 * m.volume**2)
+    scaled = m.weight * m.w_inv2 * amp2 / (2.0 * m.volume**2)
     out = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            val = float(np.sum(m.pressure_kernel_component(a, b) * scaled))
-            out[a, b] = out[b, a] = val
+    for a, b in PAIRS:
+        val = float(np.sum(m.pressure_kernel_component(a, b) * scaled))
+        out[a, b] = out[b, a] = val
     return out
 
 
 def _inverse_field(coefficients: np.ndarray, m: ModeWorkspace, spec: GridSpec,
                    provider: TransformProvider) -> np.ndarray:
-    """Real grid field of retained-mode coefficients, times V / prod M.
+    """Real grid fields (F x M) of stacked retained-mode coefficients (F x modes).
 
-    The field itself is the inverse transform over V / prod M (1/V
-    convention); the trapezoidal gather weighs it by V / prod M, so neither
-    factor is applied.  Only the real part is kept, so the complex grids
-    are freed before the gather.
+    One stacked inverse transform of the half spectra gives all F fields.
+    Each field, times V / prod M, is the inverse transform over V / prod M
+    (1/V convention); the trapezoidal gather weighs it by V / prod M, so
+    neither factor is applied.
     """
-    spec_arr = np.zeros(spec.M, dtype=complex)
-    spec_arr[m.mask] = coefficients
-    return np.ascontiguousarray(provider.inverse(spec_arr).real)
+    half = np.zeros((len(coefficients),) + m.mask.shape, dtype=complex)
+    half[:, m.mask] = coefficients
+    return provider.inverse(half, spec.M)
 
 
 def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
@@ -317,10 +394,10 @@ def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
                       modes: ModeWorkspace | None = None) -> np.ndarray:
     """Far-field forces by spectral differentiation and window gathering.
 
-    ``ik``: three inverse transforms of i k_d Fhat What^-2 rho_hat, gathered
-    with the window (momentum-conserving).  ``analytic``: one inverse
-    transform of Fhat What^-2 rho_hat, gathered with the window gradient
-    (energy-conserving for small steps).
+    ``ik``: the three fields of i k_d Fhat What^-2 rho_hat, from one stacked
+    inverse transform, gathered with the window (momentum-conserving).
+    ``analytic``: one inverse transform of Fhat What^-2 rho_hat, gathered
+    with the window gradient (energy-conserving for small steps).
     """
     if mode not in ("ik", "analytic"):
         raise MeshError(f"unknown differentiation mode {mode!r}")
@@ -329,13 +406,11 @@ def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
     scale = m.fhat * m.w_inv2 * rho_hat.values[m.mask]
 
     if mode == "analytic":
-        fld = _inverse_field(scale, m, spec, provider)
-        return -sys.charges[:, None] * rho_hat.gather_gradient(fld, spec)
-    forces = np.empty((sys.n, 3))
-    for d in range(3):
-        fld = _inverse_field(1j * m.kvec[d] * scale, m, spec, provider)
-        forces[:, d] = -sys.charges * rho_hat.gather(fld)
-    return forces
+        fld = _inverse_field(scale[None], m, spec, provider)[0]
+        return -sys.charges[:, None] * rho_hat.gather_gradient(fld)
+    fields = _inverse_field(np.stack([1j * k * scale for k in m.kvec]),
+                            m, spec, provider)
+    return -(sys.charges * rho_hat.gather(fields)).T
 
 
 def local_pressure(rho_hat: SpectralDensity, sys: ParticleSystem,
@@ -344,18 +419,20 @@ def local_pressure(rho_hat: SpectralDensity, sys: ParticleSystem,
                    modes: ModeWorkspace | None = None) -> np.ndarray:
     """Per-particle far-field pressure tensors (N x 3 x 3).
 
-    Six inverse transforms (one per independent tensor component) followed
-    by a trapezoidal window gather; the sum over particles reproduces the
-    global far-field pressure up to gather aliasing.
+    One stacked inverse transform gives the six fields (one per independent
+    tensor component), and one trapezoidal window gather reads them all;
+    the sum over particles reproduces the global far-field pressure up to
+    gather aliasing.
     """
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
     base = m.w_inv2 * rho_hat.values[m.mask] / (2.0 * m.volume)
+    fields = _inverse_field(
+        np.stack([m.pressure_kernel_component(a, b) * base for a, b in PAIRS]),
+        m, spec, provider)
+    gathered = sys.charges * rho_hat.gather(fields)
 
     out = np.empty((sys.n, 3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            fld = _inverse_field(m.pressure_kernel_component(a, b) * base,
-                                 m, spec, provider)
-            out[:, a, b] = out[:, b, a] = sys.charges * rho_hat.gather(fld)
+    for (a, b), g in zip(PAIRS, gathered):
+        out[:, a, b] = out[:, b, a] = g
     return out

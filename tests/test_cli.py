@@ -218,6 +218,21 @@ class TestTune:
         assert out == ""
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("key, flag, value", [
+        ("delta_split", "--delta-split", "1e-3"), ("p_order", "--p-order", "3")])
+    def test_tuned_parameter_rejected(self, tmp_path, key, flag, value, capsys):
+        # tune chooses delta_split and p_order from the target; setting
+        # either by flag or config key is a usage error naming the key.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for extra in ((flag, value), ("--config", str(path))):
+            code, out = run_cli("tune", "--quantity", "force", "--target",
+                                "1e-4", *extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and key in err
+
     def test_force_spacing_example(self):
         code, text = run_cli("tune", "--quantity", "force",
                              "--target", "4e-4", "--cell", "3,3,3",

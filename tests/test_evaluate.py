@@ -107,6 +107,29 @@ class TestExactPath:
         np.testing.assert_allclose(exact.pressure, mesh.pressure,
                                    atol=1e-5 * np.abs(exact.pressure).max())
 
+    def test_odd_grid_agrees_with_exact(self):
+        # An odd M_3 has no Nyquist plane in the half spectrum; pinned by
+        # rebind_cell, it meets the tolerances of test_mesh_agrees_with_exact
+        # on the same system.
+        sys = random_neutral_system(32, (6.0, 6.2, 6.4), seed=4)
+        q = sys.charges.copy()
+        q[0] += 0.7
+        sys = ParticleSystem(cell=sys.cell, positions=sys.positions,
+                             charges=q)
+        params = EwaldParameters(r_c=2.5, delta_split=1e-6, oversampling=2.0,
+                                 prefactor=1.7)
+        solver = CoulombSolver(sys.cell, params)
+        M = solver.spec.M
+        solver.rebind_cell(sys.cell, fixed_M=(M[0], M[1], M[2] + 1))
+        assert solver.spec.M[2] % 2 == 1
+        mesh = solver.evaluate(sys)
+        exact = evaluate_exact(sys, params)
+        assert exact.energy == pytest.approx(mesh.energy, rel=1e-6)
+        np.testing.assert_allclose(exact.forces, mesh.forces,
+                                   atol=1e-5 * np.abs(exact.forces).max())
+        np.testing.assert_allclose(exact.pressure, mesh.pressure,
+                                   atol=1e-5 * np.abs(exact.pressure).max())
+
     @pytest.mark.parametrize("force_mode", ["ik", "analytic"])
     def test_triclinic_mesh_agrees_with_exact(self, force_mode):
         # The tolerances of test_mesh_agrees_with_exact, with two measured

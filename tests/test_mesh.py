@@ -36,6 +36,28 @@ def window_widths(cell, spec):
     return spec.P * np.diag(cell.h) / (2.0 * np.asarray(spec.M))
 
 
+def full_spectrum(cell, kern, spec):
+    """Retained modes of the full M_1 x M_2 x M_3 spectrum of an orthorhombic
+    cell, and at each its wavevector, k^2, fhat, dterm and w_inv2, straight
+    from psi_series."""
+    lengths = np.diag(cell.h)
+    m = np.meshgrid(*[np.fft.fftfreq(M, d=1.0 / M) for M in spec.M],
+                    indexing="ij")
+    k = np.stack([2.0 * np.pi * m[d] / lengths[d] for d in range(3)], axis=-1)
+    k2 = np.sum(k * k, axis=-1)
+    keep = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
+    k, k2 = k[keep], k2[keep]
+    b, sb = kern.basis, spec.window.basis
+    x = np.minimum(np.sqrt(k2) * kern.r_c / b.c, 1.0)
+    pref = 2.0 * np.pi * b.lambda0 / b.C0
+    fhat = pref * b.psi_series(x) / k2
+    dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
+    omega = window_widths(cell, spec)
+    what = np.prod([w * sb.lambda0 * sb.psi_series(np.clip(w * k[:, d] / sb.c, -1, 1))
+                    for d, w in enumerate(omega)], axis=0)
+    return keep, k, k2, fhat, dterm, 1.0 / what**2
+
+
 class TestPlanGrid:
     def test_published_spacing_moderate(self):
         cell, kern, spec = make_plan(4e-4, 0.9, [3.0, 3.0, 3.0], P=5,
@@ -171,6 +193,32 @@ class TestTransforms:
         assert provider.forward_count == 1
         assert provider.inverse_count == 0
 
+    def test_half_spectrum_sums_equal_full_spectrum(self):
+        # Energy and pressure reduced over the half spectrum, weighted for
+        # the left-out mirror modes, equal the sums over the full spectrum
+        # of fftn of the same spread grid.  L_3 puts the Nyquist mode
+        # (0, 0, -M_3/2) just inside kmax, so the Nyquist plane holds a
+        # retained mode, which has no mirror to weigh.
+        cell, kern, spec = make_plan(1e-5, 1.2, [5.0, 6.0, 6.0])
+        M3 = 20
+        lengths = [5.0, 6.0, np.pi * M3 / (kern.kmax * (1.0 - 1e-13))]
+        cell = Cell.orthorhombic(lengths)
+        spec = plan_grid(cell, kern, spec.window, fixed_M=(*spec.M[:2], M3))
+        assert np.any(np.nonzero(ModeWorkspace(spec, kern, cell).mask)[2] == M3 // 2)
+        sys = random_neutral_system(32, lengths, seed=2)
+        rho_hat = forward_density(sys, spec, TransformProvider())
+        keep, k, k2, fhat, dterm, w_inv2 = full_spectrum(cell, kern, spec)
+        full = np.fft.fftn(spread_charges(sys, spec)) * (cell.volume / spec.n_grid)
+        amp2 = np.abs(full[keep]) ** 2
+        energy = np.sum(fhat * w_inv2 * amp2) / (2.0 * cell.volume)
+        kernel = ((dterm - 2.0 * fhat / k2)[:, None, None] * k[:, :, None] * k[:, None, :]
+                  + fhat[:, None, None] * np.eye(3))
+        pressure = np.einsum("m,mab->ab", w_inv2 * amp2, kernel) / (2.0 * cell.volume**2)
+        got = long_range_pressure(rho_hat, kern, spec, cell)
+        assert long_range_energy(rho_hat, kern, spec, cell) == pytest.approx(
+            energy, rel=1e-12)
+        assert np.max(np.abs(got - pressure)) <= 1e-12 * np.max(np.abs(pressure))
+
 
 class TestLongRange:
     def setup_case(self, delta=1e-5, seed=0, lengths=(6.0, 6.0, 6.0), n=32):
@@ -242,12 +290,13 @@ class TestLongRange:
 
     def test_virial_trace_identity(self):
         # tr(P_F) V relates to the energy through the radial kernel
-        # derivative; cross-check against the scalar mode sum.
+        # derivative; cross-check against the scalar mode sum over the half
+        # spectrum, each mode weighted for its left-out mirror.
         cell, kern, spec, sys, provider, rho_hat = self.setup_case(seed=7)
         m = ModeWorkspace(spec, kern, cell)
         p = long_range_pressure(rho_hat, kern, spec, cell, modes=m)
         amp2 = np.abs(rho_hat.values[m.mask]) ** 2
-        scaled = m.w_inv2 * amp2 / (2.0 * m.volume**2)
+        scaled = m.weight * m.w_inv2 * amp2 / (2.0 * m.volume**2)
         trace_ref = float(np.sum((m.fhat + m.dterm * m.k2) * scaled))
         assert np.trace(p) == pytest.approx(trace_ref, rel=1e-12)
 
@@ -255,24 +304,12 @@ class TestLongRange:
 class TestModeWorkspace:
     @staticmethod
     def reference(solver):
-        """fhat, dterm and w_inv2 mode by mode, straight from psi_series."""
-        spec, kern = solver.spec, solver.kern
-        lengths = np.diag(solver.cell.h)
-        m = np.meshgrid(*[np.fft.fftfreq(M, d=1.0 / M) for M in spec.M],
-                        indexing="ij")
-        k = np.stack([2.0 * np.pi * m[d] / lengths[d] for d in range(3)], axis=-1)
-        k2 = np.sum(k * k, axis=-1)
-        keep = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
-        k, k2 = k[keep], k2[keep]
-        b, sb = kern.basis, spec.window.basis
-        x = np.minimum(np.sqrt(k2) * kern.r_c / b.c, 1.0)
-        pref = 2.0 * np.pi * b.lambda0 / b.C0
-        fhat = pref * b.psi_series(x) / k2
-        dterm = pref * x * b.psi_series(x, derivative=1) / k2**2
-        omega = window_widths(solver.cell, spec)
-        what = np.prod([w * sb.lambda0 * sb.psi_series(np.clip(w * k[:, d] / sb.c, -1, 1))
-                        for d, w in enumerate(omega)], axis=0)
-        return keep, fhat, dterm, 1.0 / what**2
+        """mask, fhat, dterm and w_inv2 on the half spectrum, m_3 <= M_3 / 2."""
+        keep, _, _, fhat, dterm, w_inv2 = full_spectrum(solver.cell, solver.kern,
+                                                        solver.spec)
+        half = solver.spec.M[2] // 2 + 1
+        in_half = np.nonzero(keep)[2] < half
+        return keep[..., :half], fhat[in_half], dterm[in_half], w_inv2[in_half]
 
     @pytest.mark.parametrize("scale", [(1.01, 1.01, 1.01), (1.01, 0.995, 1.003)])
     @pytest.mark.parametrize("pinned", [True, False])
@@ -445,6 +482,43 @@ class TestOneStencil:
                                                          delta_split=1e-5))
         solver.local_pressure(sys)
         assert len(stencil_calls) == 1
+
+    @pytest.mark.parametrize("op", ["ik", "analytic", "local_pressure"])
+    def test_one_transform_each_way(self, op):
+        # One forward FFT, and one stacked inverse FFT for all the fields:
+        # three for ik forces, one for analytic, six for local pressure.
+        sys = random_neutral_system(24, [6.0, 6.0, 6.0], seed=11)
+        solver = CoulombSolver(sys.cell, EwaldParameters(
+            r_c=1.2, delta_split=1e-5,
+            force_mode="analytic" if op == "analytic" else "ik"))
+        if op == "local_pressure":
+            solver.local_pressure(sys)
+        else:
+            solver.evaluate(sys)
+        assert solver.provider.forward_count == 1
+        assert solver.provider.inverse_count == 1
+
+    def test_local_pressure_peak_memory(self):
+        # The stencil is expanded in chunks of CHUNK_NODES nodes, and one
+        # stacked inverse gives the six fields.  A stencil materialized for
+        # all particles, or a gather of all particles at once, adds at least
+        # one N P^3 array of doubles on top of the fields.
+        n = 2000
+        length = (n / 4.0) ** (1.0 / 3.0)
+        sys = random_neutral_system(n, [length] * 3, seed=14)
+        solver = CoulombSolver(sys.cell, EwaldParameters(r_c=2.0,
+                                                         delta_split=1e-6))
+        assert solver.spec.P == 7
+        solver.local_pressure(sys)
+        tracemalloc.start()
+        try:
+            solver.local_pressure(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stencil = n * solver.spec.P ** 3 * 8
+        fields = 6 * solver.spec.n_grid * 8
+        assert peak < stencil + fields
 
     def test_evaluate_peak_memory(self):
         # The stencil holds N P^3 flat indices and weights; spreading and
