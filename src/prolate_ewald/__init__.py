@@ -13,8 +13,7 @@ from .kernel import (SplitKernel, background_correction, far_field,
                      fn_weight, near_field, self_energy)
 from .mesh import (GridSpec, ModeWorkspace, TransformProvider,
                    forward_density, local_pressure, long_range_energy,
-                   long_range_forces, long_range_pressure, plan_grid,
-                   spread_charges)
+                   long_range_forces, long_range_pressure, plan_grid)
 from .npt import (NptConfig, ThermoRecord, TrajectoryStatistics,
                   barostat_step, integrate, maxwell_boltzmann_momenta,
                   softcore_interactions)
@@ -43,6 +42,6 @@ __all__ = [
     "long_range_forces", "long_range_pressure", "make_report",
     "maxwell_boltzmann_momenta", "minimum_image", "near_field", "plan_grid",
     "relative_deviation", "self_energy", "short_range",
-    "softcore_interactions", "solve_bandwidth", "spread_charges",
-    "tabulate_window", "virial_audit",
+    "softcore_interactions", "solve_bandwidth", "tabulate_window",
+    "virial_audit",
 ]

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import SplitKernel, background_correction, self_energy
-from .mesh import (ModeWorkspace, TransformProvider, forward_density,
-                   local_pressure, long_range_energy, long_range_forces,
-                   long_range_pressure, plan_grid)
+from .mesh import (ModeWorkspace, TransformProvider, axis_modes,
+                   forward_density, local_pressure, long_range_energy,
+                   long_range_forces, long_range_pressure, plan_grid)
 from .oracle import direct_ksum
 from .pswf import (DELTA_MAX, DELTA_MIN, build_pswf, solve_bandwidth,
                    tabulate_window)
@@ -84,7 +84,8 @@ class EnergyBreakdown:
     """Electrostatic outputs with per-term energies.
 
     ``pressure`` is the potential part only; add kinetic_pressure() for the
-    instantaneous tensor.  All terms already include the Coulomb prefactor.
+    instantaneous tensor.  All terms already include the Coulomb prefactor
+    but ``extra``, the sums of the pair term given to CoulombSolver.evaluate.
     """
 
     u_near: float
@@ -94,6 +95,7 @@ class EnergyBreakdown:
     forces: np.ndarray | None = None
     pressure: np.ndarray | None = None
     pair_count: int = 0
+    extra: ShortRangeResult | None = None
 
     @property
     def energy(self) -> float:
@@ -109,6 +111,7 @@ class CoulombSolver:
         self.pair_table = build_pair_table(self.kern)
         self.window = tabulate_window(basis, P)
         self.provider = TransformProvider()
+        self.spec = None
         self.rebind_cell(cell)
 
     def rebind_cell(self, cell: Cell, fixed_M: tuple | None = None) -> None:
@@ -116,17 +119,23 @@ class CoulombSolver:
 
         The plan depends only on the parameters and the cell.  ``fixed_M``
         pins the grid counts (finite-difference checks of the cell
-        derivative; the invariants are still verified).
+        derivative; the invariants are still verified).  mesh.axis_modes
+        is kept while the grid counts are unchanged.
         """
         check_cutoff(cell, self.params.r_c)
-        self.cell = cell
-        self.spec = plan_grid(cell, self.kern, self.window,
-                              self.params.oversampling, fixed_M)
-        self.modes = ModeWorkspace(self.spec, self.kern, cell)
+        spec = plan_grid(cell, self.kern, self.window,
+                         self.params.oversampling, fixed_M)
+        if (self.spec is None or spec.M != self.spec.M
+                or spec.window is not self.spec.window):
+            self.mode_axes = axis_modes(spec)
+        self.cell, self.spec = cell, spec
+        self.modes = ModeWorkspace(spec, self.kern, cell, self.mode_axes)
 
     def evaluate(self, sys: ParticleSystem, want_forces: bool = True,
-                 want_pressure: bool = True,
-                 neighbors=None) -> EnergyBreakdown:
+                 want_pressure: bool = True, neighbors=None,
+                 extra=None) -> EnergyBreakdown:
+        """Energy, forces and pressure; ``extra``, a realspace.pair_sums
+        term (npt's soft core), rides along the near-field pass."""
         if not np.array_equal(sys.cell.h, self.cell.h):
             raise ParameterError("system cell differs from the solver's cell; "
                                  "call rebind_cell first")
@@ -135,7 +144,8 @@ class CoulombSolver:
         elif neighbors.r_c < self.params.r_c:
             raise ParameterError(f"neighbor list built for r_c={neighbors.r_c} "
                                  f"misses pairs within r_c={self.params.r_c}")
-        sr = short_range(sys, self.kern, neighbors, table=self.pair_table)
+        sr = short_range(sys, self.kern, neighbors, table=self.pair_table,
+                         extra=extra)
 
         rho = forward_density(sys, self.spec, self.provider)
         u_far = long_range_energy(rho, self.kern, self.spec, sys.cell,
@@ -172,7 +182,7 @@ def _assemble(sys: ParticleSystem, kern: SplitKernel, pref: float,
     out = EnergyBreakdown(u_near=pref * sr.energy, u_far=pref * u_far,
                           u_self=pref * u_self,
                           u_background=pref * (u_cb + u_bb),
-                          pair_count=sr.pair_count)
+                          pair_count=sr.pair_count, extra=sr.extra)
     if f_far is not None:
         out.forces = pref * (sr.forces + f_far)
     if p_far is not None:

@@ -145,9 +145,10 @@ class SpectralDensity:
 
     ``values`` holds rho_hat(k_m) with continuum normalization on the half
     spectrum M_1 x M_2 x (M_3/2 + 1) of the real charge grid.  The stencil is
-    kept separable: ``first`` (N x 3) is every particle's base node, reduced
-    mod M, ``factors`` (N x 3 x P) the window at its P nodes along each axis,
-    and ``offsets`` (N x 3) the fractional offsets that set the window.
+    kept separable and laid out with particles running fastest: ``first``
+    (3 x N) is every particle's base node, reduced mod M, ``factors``
+    (3 x P x N) the window at its P nodes along each axis, and ``offsets``
+    (3 x N) the fractional offsets that set the window.
     ``cell`` and ``spec`` are the configuration's cell and plan.  Every
     gather of the configuration goes through this one stencil.
     """
@@ -166,7 +167,7 @@ class SpectralDensity:
         the stencil chunks gathers all of them.
         """
         values = fields.reshape(len(fields), -1)
-        out = np.empty((len(fields), len(self.first)))
+        out = np.empty((len(fields), self.first.shape[1]))
         for part, flat, w in _chunks(self.first, self.factors, self.spec):
             weights = _products(w)
             for f, field in enumerate(values):
@@ -184,7 +185,7 @@ class SpectralDensity:
         spec, P = self.spec, self.spec.P
         dw = _by_particle(spec.window(self.offsets, derivative=1))
         values = field.reshape(-1)
-        out = np.empty((3, len(self.first)))
+        out = np.empty((3, self.first.shape[1]))
         for part, flat, (wx, wy, wz) in _chunks(self.first, self.factors, spec):
             dx, dy, dz = dw[:, :, part]
             vals = np.take(values, flat).reshape(P, P, P, -1)
@@ -207,20 +208,20 @@ def _window_weights(sys: ParticleSystem, spec: GridSpec):
     node, even P on the midpoint of the two nearest.  Node j sits at
     t_j = P/2 - 1 - j + f from the particle, with f = frac(u - P/2), so the
     window table gives all P weights from f.  Returns the base nodes first
-    mod M (N x 3), the window factors W(t_j) (N x 3 x P) and the offsets f
-    (N x 3).
+    mod M (3 x N), the window factors W(t_j) (3 x P x N) and the offsets f
+    (3 x N), particles running fastest.
     """
-    P, M = spec.P, spec.M
-    a = sys.cell.fractional(sys.positions) * M - P / 2.0
+    P, M = spec.P, np.asarray(spec.M)[:, None]
+    a = sys.cell.fractional(sys.positions).T * M - P / 2.0
     below = np.floor(a)
     offsets = a - below
     first = np.mod(below.astype(np.int64) + 1, M)
-    return first, spec.window(offsets), offsets
+    return first, _by_particle(spec.window(offsets)), offsets
 
 
 def _by_particle(a: np.ndarray) -> np.ndarray:
-    """An N x 3 x P stencil array as 3 x P x N, particles running fastest."""
-    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+    """A 3 x N x P window array as 3 x P x N, particles running fastest."""
+    return np.ascontiguousarray(np.swapaxes(a, 1, 2))
 
 
 def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
@@ -235,11 +236,10 @@ def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
     P, M = spec.P, np.asarray(spec.M)
     # Node j along axis d of each particle, as its term of the flat index.
     strides = np.array([M[1] * M[2], M[2], 1])
-    axes = np.mod(_by_particle(first[:, :, None] + np.arange(P)),
-                  M[:, None, None]) * strides[:, None, None]
-    factors = _by_particle(factors)
+    axes = (np.mod(first[:, None, :] + np.arange(P)[:, None], M[:, None, None])
+            * strides[:, None, None])
     step = max(1, CHUNK_NODES // P**3)
-    for start in range(0, len(first), step):
+    for start in range(0, first.shape[1], step):
         part = slice(start, start + step)
         a = axes[:, :, part]
         flat = a[0, :, None, None] + a[1, None, :, None] + a[2, None, None, :]
@@ -264,12 +264,6 @@ def _deposit(first: np.ndarray, factors: np.ndarray, charges: np.ndarray,
     return grid.reshape(spec.M)
 
 
-def spread_charges(sys: ParticleSystem, spec: GridSpec) -> np.ndarray:
-    """Deposit q_j W(r_g - r_j) on the mesh, periodized across boundaries."""
-    first, factors, _ = _window_weights(sys, spec)
-    return _deposit(first, factors, sys.charges, spec)
-
-
 def forward_density(sys: ParticleSystem, spec: GridSpec,
                     provider: TransformProvider) -> SpectralDensity:
     """Build the stencil, spread and forward-transform (continuum normalized)."""
@@ -278,6 +272,23 @@ def forward_density(sys: ParticleSystem, spec: GridSpec,
     rho_hat = provider.forward(rho) * (sys.cell.volume / spec.n_grid)
     return SpectralDensity(values=rho_hat, first=first, factors=factors,
                            offsets=offsets, cell=sys.cell, spec=spec)
+
+
+def axis_modes(spec: GridSpec):
+    """Per-axis mode indices m_d of the half spectrum and, read in one call,
+    the window transform factors psi_0(pi P m_d / (M_d c)): both independent
+    of the cell, so a solver keeps them while its grid and window stay."""
+    ms = [np.fft.fftfreq(M, d=1.0 / M) for M in spec.M]
+    ms[2] = ms[2][:spec.M[2] // 2 + 1]
+    sb = spec.window.basis
+    arg = np.concatenate([np.pi * spec.P * m / M
+                          for m, M in zip(ms, spec.M)]) / sb.c
+    psi, _ = sb.psi_and_slope(np.clip(arg, -1.0, 1.0))
+    return ms, np.split(psi, np.cumsum([len(m) for m in ms])[:2])
+
+
+# The six independent components (a, b), a <= b, of a symmetric tensor.
+PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
 
 
 class ModeWorkspace:
@@ -290,20 +301,21 @@ class ModeWorkspace:
     outside |k| <= kmax are zeroed; the k = 0 mode is always excluded.
     A guard rejects retained modes where the window transform underflows,
     which indicates a planning failure rather than a numerical accident.
+    ``axes`` is axis_modes(spec), computed here when not given.
     """
 
-    def __init__(self, spec: GridSpec, kern: SplitKernel, cell: Cell):
+    def __init__(self, spec: GridSpec, kern: SplitKernel, cell: Cell,
+                 axes=None):
         self.volume = cell.volume
+        ms, tables = axis_modes(spec) if axes is None else axes
         # k = B m with B = 2 pi h^-T, so k^2 = m^T G m with the metric
         # G = B^T B, summed on the grid from the per-axis indices m_d.
         B = cell.reciprocal
         G = B.T @ B
-        ms = [np.fft.fftfreq(M, d=1.0 / M) for M in spec.M]
-        ms[2] = ms[2][:spec.M[2] // 2 + 1]
-        axes = [m.reshape([-1 if e == d else 1 for e in range(3)])
+        grid = [m.reshape([-1 if e == d else 1 for e in range(3)])
                 for d, m in enumerate(ms)]
-        k2 = sum(G[d, e] * (1.0 if d == e else 2.0) * axes[d] * axes[e]
-                 for d in range(3) for e in range(d, 3))
+        k2 = sum(G[d, e] * (1.0 if d == e else 2.0) * grid[d] * grid[e]
+                 for d in range(3) for e in range(d, 3) if G[d, e] != 0.0)
         mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         self.mask = mask
         index = np.nonzero(mask)
@@ -314,13 +326,8 @@ class ModeWorkspace:
 
         # The window is separable in s, so its transform at k = B m is
         # V prod_d (P/2M_d) lambda0 psi_0(pi P m_d / (M_d c)), whatever the
-        # cell shape: psi_0 is read once per axis index (one call over the
-        # indices of all three axes), not three times per retained mode.
+        # cell shape.
         sb = spec.window.basis
-        arg = np.concatenate([np.pi * spec.P * m / M
-                              for m, M in zip(ms, spec.M)]) / sb.c
-        psi, _ = sb.psi_and_slope(np.clip(arg, -1.0, 1.0))
-        tables = np.split(psi, np.cumsum([len(m) for m in ms])[:2])
         px, py, pz = (t[i] for t, i in zip(tables, index))
         psi3 = px * py * pz
         if np.any(np.abs(psi3) < 1e-13 * sb.psi0_at_zero**3):
@@ -331,16 +338,13 @@ class ModeWorkspace:
         self.w_inv2 = 1.0 / (width * sb.lambda0**3 * psi3) ** 2
         self.fhat, self.dterm = mode_kernel(kern, self.k2)
 
-    def pressure_kernel_component(self, a: int, b: int) -> np.ndarray:
-        kk = self.kvec[a] * self.kvec[b]
-        out = self.dterm * kk - 2.0 * self.fhat * kk / self.k2
-        if a == b:
-            out = out + self.fhat
-        return out
-
-
-# The six independent components (a, b), a <= b, of a symmetric tensor.
-PAIRS = [(a, b) for a in range(3) for b in range(a, 3)]
+    def pressure_kernel(self, scale: np.ndarray) -> np.ndarray:
+        """The PAIRS components of each mode's 3x3 pressure kernel
+        fhat (delta_ab - 2 k_a k_b / k^2) + dterm k_a k_b, times ``scale``."""
+        coef = (self.dterm - 2.0 * self.fhat / self.k2) * scale
+        diag, k = self.fhat * scale, self.kvec
+        return np.stack([coef * k[a] * k[b] + (diag if a == b else 0.0)
+                         for a, b in PAIRS])
 
 
 def long_range_energy(rho_hat: SpectralDensity, kern: SplitKernel,
@@ -368,8 +372,7 @@ def long_range_pressure(rho_hat: SpectralDensity, kern: SplitKernel,
     amp2 = np.abs(rho_hat.values[m.mask]) ** 2
     scaled = m.weight * m.w_inv2 * amp2 / (2.0 * m.volume**2)
     out = np.empty((3, 3))
-    for a, b in PAIRS:
-        val = float(np.sum(m.pressure_kernel_component(a, b) * scaled))
+    for (a, b), val in zip(PAIRS, m.pressure_kernel(scaled).sum(axis=1)):
         out[a, b] = out[b, a] = val
     return out
 
@@ -427,9 +430,7 @@ def local_pressure(rho_hat: SpectralDensity, sys: ParticleSystem,
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
     base = m.w_inv2 * rho_hat.values[m.mask] / (2.0 * m.volume)
-    fields = _inverse_field(
-        np.stack([m.pressure_kernel_component(a, b) * base for a, b in PAIRS]),
-        m, spec, provider)
+    fields = _inverse_field(m.pressure_kernel(base), m, spec, provider)
     gathered = sys.charges * rho_hat.gather(fields)
 
     out = np.empty((sys.n, 3, 3))

@@ -7,11 +7,11 @@ rescales the cell and positions affinely (fixed fractional coordinates)
 and leaves momenta untouched.  Every rescale re-plans the mesh for the new
 cell; the steps where that changes the grid counts are counted.
 
-The Coulomb and soft-core passes share the cutoff r_c and one Verlet
-neighbor list (Verlet, Phys. Rev. 1967) built at r_c plus a skin derived
-from the cell.  It is reused from step to step, across barostat rescales
-too, for as long as no pair outside it can have come within the cutoff,
-and rebuilt otherwise.
+The soft core shares the cutoff r_c and rides along the Coulomb
+near-field pass: one pass per step over one Verlet neighbor list (Verlet,
+Phys. Rev. 1967) built at r_c plus a skin derived from the cell.  The list
+is reused from step to step, across barostat rescales too, for as long as
+no pair outside it can have come within the cutoff, and rebuilt otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .evaluate import (CoulombSolver, EwaldParameters, ParameterError,
                        kinetic_pressure)
-from .realspace import _add_pair_forces
+from .realspace import pair_sums
 from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
                      check_cutoff, minimum_image)
 
@@ -99,9 +99,19 @@ class NptState:
     neighbor_rebuilds: int = 0
 
 
+def softcore_pairs(coeff: float, cutoff: float):
+    """Pair term (realspace.pair_sums) of A/r^12, shifted to zero at the cutoff."""
+    shift = coeff / cutoff**12
+
+    def term(i, j, r2):
+        inv12 = coeff / r2**6
+        return inv12 - shift, 12.0 * inv12 / r2
+    return term
+
+
 def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
                           neighbors=None):
-    """Purely repulsive A/r^12, shifted to zero at the cutoff.
+    """Purely repulsive A/r^12, shifted to zero at the cutoff, on its own.
 
     Returns (energy, forces, potential pressure tensor).
     """
@@ -110,23 +120,8 @@ def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
     elif neighbors.r_c < cutoff:
         raise ParameterError(f"neighbor list built for r_c={neighbors.r_c} "
                              f"misses pairs within cutoff={cutoff}")
-    n = sys.n
-    if neighbors.i.size == 0:
-        return 0.0, np.zeros((n, 3)), np.zeros((3, 3))
-    dr = minimum_image(sys.cell,
-                       sys.positions[neighbors.i] - sys.positions[neighbors.j])
-    r2 = np.einsum("ij,ij->i", dr, dr)
-    keep = r2 <= cutoff * cutoff
-    dr, r2 = dr[keep], r2[keep]
-    ii, jj = neighbors.i[keep], neighbors.j[keep]
-    inv12 = coeff / r2**6
-    shift = coeff / cutoff**12
-    energy = float(np.sum(inv12 - shift))
-    fmag = 12.0 * inv12 / r2
-    forces = np.zeros((n, 3))
-    _add_pair_forces(forces, ii, jj, fmag, dr)
-    pressure = (dr.T * fmag) @ dr / sys.cell.volume
-    return energy, forces, 0.5 * (pressure + pressure.T)
+    sc, = pair_sums(sys, neighbors, cutoff, [softcore_pairs(coeff, cutoff)])
+    return sc.energy, sc.forces, sc.pressure
 
 
 def maxwell_boltzmann_momenta(masses: np.ndarray, target_T: float,
@@ -176,13 +171,11 @@ def _neighbors(state: NptState, reach: float) -> NeighborList:
 
 def _evaluate_all(state: NptState, cfg: NptConfig):
     sys = state.system
-    neighbors = _neighbors(state, cfg.ewald.r_c)
-    coul = state.solver.evaluate(sys, neighbors=neighbors)
-    u_sc, f_sc, p_sc = softcore_interactions(sys, cfg.softcore_coeff,
-                                             cfg.ewald.r_c, neighbors=neighbors)
-    forces = coul.forces + f_sc
-    p_pot = coul.pressure + p_sc
-    return coul.energy, u_sc, forces, p_pot
+    coul = state.solver.evaluate(
+        sys, neighbors=_neighbors(state, cfg.ewald.r_c),
+        extra=softcore_pairs(cfg.softcore_coeff, cfg.ewald.r_c))
+    sc = coul.extra
+    return coul.energy, sc.energy, coul.forces + sc.forces, coul.pressure + sc.pressure
 
 
 def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,6 +25,7 @@ class ShortRangeResult:
     forces: np.ndarray
     pressure: np.ndarray
     pair_count: int
+    extra: ShortRangeResult | None = None   # sums of short_range's extra term
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,18 @@ def _add_pair_forces(forces: np.ndarray, i, j, fmag, dr) -> None:
         forces[:, a] += np.bincount(i, w, minlength=n) - np.bincount(j, w, minlength=n)
 
 
-def short_range(sys: ParticleSystem, kern: SplitKernel, neighbors: NeighborList,
-                table: PairTable | None = None) -> ShortRangeResult:
-    """Fused near-field pass: energy, forces, and pressure tensor.
+def pair_sums(sys: ParticleSystem, neighbors: NeighborList, cutoff: float,
+              terms) -> list:
+    """One ShortRangeResult per pair term, from one pass over the pairs.
 
-    energy  = sum_{pairs} q_i q_j N^c(r)
-    force_i = sum_j q_i q_j F_N(r) dr_ij / r^3          (repulsive for qq > 0)
-    P_N     = (1/V) sum_{pairs} q_i q_j F_N(r) dr (x) dr / r^3
-
-    Pairs go through in chunks of chunk_length(N), so temporaries stay
-    bounded.  ``table=None`` evaluates the closed-form kernel instead.
+    A term maps (i, j, r^2) of listed pairs within ``cutoff`` to energies u
+    and force weights f: force_i = sum_j f dr_ij, P = (1/V) sum f dr (x) dr,
+    with dr = r_i - r_j (minimum image).  Pairs go through in chunks of
+    chunk_length(N), so temporaries stay bounded; each chunk is gathered,
+    imaged and masked once for all terms.
     """
     n = sys.n
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    energy = 0.0
+    sums = [[0.0, np.zeros((n, 3)), np.zeros((3, 3))] for _ in terms]
     count = 0
     step = chunk_length(n)
     for start in range(0, neighbors.n_pairs, step):
@@ -98,28 +96,47 @@ def short_range(sys: ParticleSystem, kern: SplitKernel, neighbors: NeighborList,
         dr = minimum_image(sys.cell, sys.positions.take(i, axis=0)
                            - sys.positions.take(j, axis=0))
         r2 = np.einsum("ij,ij->i", dr, dr)
-        r = np.sqrt(r2)
-        if np.any(r < 1e-12 * kern.r_c):
-            bad = int(np.argmin(r))
-            raise SingularPairError(
-                f"coincident particles {i[bad]} and {j[bad]} (r={r[bad]:.3e})")
-
-        within = r <= kern.r_c
+        if np.any(r2 < (1e-12 * cutoff) ** 2):
+            bad = int(np.argmin(r2))
+            raise SingularPairError(f"coincident particles {i[bad]} and {j[bad]} "
+                                    f"(r={np.sqrt(r2[bad]):.3e})")
+        within = r2 <= cutoff * cutoff
         if not within.all():
-            i, j, dr, r, r2 = i[within], j[within], dr[within], r[within], r2[within]
-        qq = sys.charges.take(i) * sys.charges.take(j)
+            i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
+        for acc, term in zip(sums, terms):
+            u, fmag = term(i, j, r2)
+            acc[0] += float(np.sum(u))
+            _add_pair_forces(acc[1], i, j, fmag, dr)
+            acc[2] += (dr.T * fmag) @ dr
+        count += r2.size
+
+    return [ShortRangeResult(energy=e, forces=f, pair_count=count,  # symmetric P
+                             pressure=0.5 * (v + v.T) / sys.cell.volume)
+            for e, f, v in sums]
+
+
+def short_range(sys: ParticleSystem, kern: SplitKernel, neighbors: NeighborList,
+                table: PairTable | None = None, extra=None) -> ShortRangeResult:
+    """Fused near-field pass: energy, forces, and pressure tensor.
+
+    energy  = sum_{pairs} q_i q_j N^c(r)
+    force_i = sum_j q_i q_j F_N(r) dr_ij / r^3          (repulsive for qq > 0)
+    P_N     = (1/V) sum_{pairs} q_i q_j F_N(r) dr (x) dr / r^3
+
+    ``table=None`` evaluates the closed-form kernel instead.  ``extra``, a
+    pair_sums term, is summed in the same pass into ``extra`` of the result.
+    """
+    charges = sys.charges
+
+    def coulomb(i, j, r2):
+        r = np.sqrt(r2)
+        qq = charges.take(i) * charges.take(j)
         if table is not None:
             nvals, fvals = table.eval(r)
         else:
             nvals, fvals = near_field(kern, r), fn_weight(kern, r)
+        return qq * nvals, qq * fvals / (r2 * r)
 
-        energy += float(np.sum(qq * nvals))
-        fmag = qq * fvals / (r2 * r)
-        _add_pair_forces(forces, i, j, fmag, dr)
-        virial += (dr.T * fmag) @ dr
-        count += r.size
-
-    pressure = virial / sys.cell.volume
-    pressure = 0.5 * (pressure + pressure.T)  # exact symmetry against roundoff
-    return ShortRangeResult(energy=energy, forces=forces, pressure=pressure,
-                            pair_count=count)
+    near, *rest = pair_sums(sys, neighbors, kern.r_c,
+                            [coulomb] if extra is None else [coulomb, extra])
+    return replace(near, extra=rest[0]) if rest else near

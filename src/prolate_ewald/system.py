@@ -29,6 +29,7 @@ class Cell:
     volume: float = field(init=False)
     inverse: np.ndarray = field(init=False)
     reciprocal: np.ndarray = field(init=False)   # 2 pi h^-T: h^T b = 2 pi I
+    is_orthorhombic: bool = field(init=False)    # off-diagonals within 1e-12 max|h|
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float).reshape(3, 3)
@@ -42,15 +43,13 @@ class Cell:
         object.__setattr__(self, "volume", float(det))
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "reciprocal", 2.0 * np.pi * inverse.T)
+        off = np.abs(h - np.diag(np.diag(h)))
+        object.__setattr__(self, "is_orthorhombic",
+                           bool(np.all(off <= 1e-12 * np.max(np.abs(h)))))
 
     @classmethod
     def orthorhombic(cls, lengths) -> "Cell":
         return cls(np.diag(np.asarray(lengths, dtype=float)))
-
-    @property
-    def is_orthorhombic(self) -> bool:
-        off = self.h - np.diag(np.diag(self.h))
-        return bool(np.all(np.abs(off) <= 1e-12 * np.max(np.abs(self.h))))
 
     def perpendicular_widths(self) -> np.ndarray:
         """Distance between opposite cell faces, per direction."""
@@ -69,8 +68,13 @@ class Cell:
 
 
 def minimum_image(cell: Cell, dr: np.ndarray) -> np.ndarray:
-    """Image of dr with fractional components in [-1/2, 1/2)."""
-    s = cell.fractional(np.asarray(dr, dtype=float))
+    """Image of dr with fractional components in [-1/2, 1/2); taken per
+    axis in an orthorhombic cell, the case build_cell_list also singles out."""
+    dr = np.asarray(dr, dtype=float)
+    if cell.is_orthorhombic:
+        lengths = cell.h.diagonal()
+        return dr - lengths * np.floor(dr / lengths + 0.5)
+    s = cell.fractional(dr)
     s -= np.floor(s + 0.5)
     return cell.cartesian(s)
 

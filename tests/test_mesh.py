@@ -16,10 +16,10 @@ from prolate_ewald.mesh import (MeshError, ModeWorkspace,
                                 PlanningError, TransformProvider,
                                 forward_density, local_pressure,
                                 long_range_energy, long_range_forces,
-                                long_range_pressure, plan_grid,
-                                spread_charges)
+                                long_range_pressure, plan_grid)
 from prolate_ewald.oracle import direct_ksum
-from prolate_ewald.system import Cell, ParticleSystem, build_cell_list
+from prolate_ewald.system import (Cell, ParticleSystem, build_cell_list,
+                                  chunk_length)
 
 from conftest import kernel_for, random_neutral_system, window_for
 
@@ -29,6 +29,12 @@ def make_plan(delta, r_c, lengths, P=None, oversampling=2.0):
     cell = Cell.orthorhombic(lengths)
     spec = plan_grid(cell, kern, window_for(delta, P), oversampling=oversampling)
     return cell, kern, spec
+
+
+def spread(sys, spec):
+    """The real charge grid that forward_density transforms."""
+    first, factors, _ = mesh._window_weights(sys, spec)
+    return mesh._deposit(first, factors, sys.charges, spec)
 
 
 def window_widths(cell, spec):
@@ -125,7 +131,7 @@ class TestSpreadCharges:
     def test_support_size(self):
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])
         sys = self.one_particle([1.234, 2.345, 3.456])
-        rho = spread_charges(sys, spec)
+        rho = spread(sys, spec)
         assert np.count_nonzero(rho) == spec.P ** 3
 
     def test_odd_order_symmetry(self):
@@ -133,7 +139,7 @@ class TestSpreadCharges:
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0], P=5)
         h = spec.spacing[0]
         sys = self.one_particle([4 * h, 4 * spec.spacing[1], 4 * spec.spacing[2]])
-        rho = spread_charges(sys, spec)
+        rho = spread(sys, spec)
         line = rho[2:7, 4, 4]
         np.testing.assert_allclose(line, line[::-1], rtol=1e-13)
         assert rho[4, 4, 4] == np.max(rho)
@@ -146,16 +152,16 @@ class TestSpreadCharges:
             cell=sys1.cell,
             positions=np.vstack([sys1.positions, sys2.positions]),
             charges=np.concatenate([sys1.charges, sys2.charges]))
-        r1 = spread_charges(sys1, spec)
-        r2 = spread_charges(sys2, spec)
-        r12 = spread_charges(both, spec)
+        r1 = spread(sys1, spec)
+        r2 = spread(sys2, spec)
+        r12 = spread(both, spec)
         np.testing.assert_allclose(r12, r1 + r2, atol=1e-15)
 
     def test_periodic_wraparound(self):
         # Charge near a face must deposit weight on both sides of the seam.
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])
         sys = self.one_particle([0.01, 3.0, 3.0])
-        rho = spread_charges(sys, spec)
+        rho = spread(sys, spec)
         assert np.any(rho[-2:, :, :] != 0.0)
         assert np.any(rho[:2, :, :] != 0.0)
 
@@ -164,7 +170,7 @@ class TestSpreadCharges:
         # Fourier transform at k = 0, up to the spreading tolerance.
         cell, kern, spec = make_plan(1e-8, 1.0, [6.0, 6.0, 6.0])
         sys = self.one_particle([1.234, 2.345, 3.456])
-        rho = spread_charges(sys, spec)
+        rho = spread(sys, spec)
         total = float(rho.sum()) * cell.volume / spec.n_grid
         sb = spec.window.basis
         w0 = np.prod([w * sb.lambda0 * sb.psi0_at_zero
@@ -177,7 +183,7 @@ class TestTransforms:
         cell, kern, spec = make_plan(1e-4, 1.0, [6.0, 6.0, 6.0])
         sys = random_neutral_system(32, [6.0, 6.0, 6.0], seed=0)
         provider = TransformProvider()
-        rho = spread_charges(sys, spec)
+        rho = spread(sys, spec)
         rho_hat = forward_density(sys, spec, provider)
         assert rho_hat.values[0, 0, 0] == pytest.approx(
             rho.sum() * cell.volume / spec.n_grid, rel=1e-12)
@@ -208,7 +214,7 @@ class TestTransforms:
         sys = random_neutral_system(32, lengths, seed=2)
         rho_hat = forward_density(sys, spec, TransformProvider())
         keep, k, k2, fhat, dterm, w_inv2 = full_spectrum(cell, kern, spec)
-        full = np.fft.fftn(spread_charges(sys, spec)) * (cell.volume / spec.n_grid)
+        full = np.fft.fftn(spread(sys, spec)) * (cell.volume / spec.n_grid)
         amp2 = np.abs(full[keep]) ** 2
         energy = np.sum(fhat * w_inv2 * amp2) / (2.0 * cell.volume)
         kernel = ((dterm - 2.0 * fhat / k2)[:, None, None] * k[:, :, None] * k[:, None, :]
@@ -327,6 +333,25 @@ class TestModeWorkspace:
         for got, ref in ((m.fhat, fhat), (m.dterm, dterm), (m.w_inv2, w_inv2)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("h", [
+        np.diag([7.575, 7.575, 7.575]), np.diag([7.575, 7.4625, 7.5225]),
+        [[7.5, 0.2, -0.1], [0.0, 7.45, 0.15], [0.0, 0.0, 7.55]],
+        np.diag([9.0, 7.5, 7.5])])
+    def test_rebind_keeps_axis_tables_per_grid(self, h):
+        # A rebind at unchanged grid counts reuses the per-axis tables and
+        # gives arrays equal to a fresh build's; a new grid rebuilds them.
+        solver = CoulombSolver(Cell.orthorhombic((7.5, 7.5, 7.5)),
+                               EwaldParameters(r_c=2.2, delta_split=1e-4))
+        M0, axes = solver.spec.M, solver.mode_axes
+        cell = Cell(h=np.asarray(h, dtype=float))
+        solver.rebind_cell(cell)
+        assert (solver.mode_axes is axes) == (solver.spec.M == M0)
+        assert (solver.spec.M == M0) == (cell.h[0, 0] < 9.0)
+        fresh = ModeWorkspace(solver.spec, solver.kern, cell)
+        for name in ("mask", "kvec", "k2", "weight", "w_inv2", "fhat", "dterm"):
+            np.testing.assert_array_equal(getattr(solver.modes, name),
+                                          getattr(fresh, name))
+
 
 class TestLocalPressure:
     def test_zero_charges(self):
@@ -391,7 +416,7 @@ def spread_unit_charge(position, P):
                      fixed_M=(DYADIC_M,) * 3)
     sys = ParticleSystem(cell=cell, positions=np.array([position]),
                          charges=np.array([1.0]))
-    return spread_charges(sys, spec), spec
+    return spread(sys, spec), spec
 
 
 class TestSpreadProperties:
@@ -521,10 +546,14 @@ class TestOneStencil:
         assert peak < stencil + fields
 
     def test_evaluate_peak_memory(self):
-        # The stencil holds N P^3 flat indices and weights; spreading and
-        # each gather add one N P^3 temporary at a time.  A copy on top of
-        # that (a non-contiguous stencil raveled in the spread, or a second
-        # stencil) would cross 3.5 N P^3 doubles.
+        # The near-field pass and the mesh run one after the other.  The
+        # near field holds one chunk of chunk_length(N) pairs at a time, at
+        # about 23 doubles a pair (the gathered positions, the image, r, r^2,
+        # the charge products, the table index and rows); 26 leave room.
+        # The mesh holds four grids, the O(N P) stencil with the Chebyshev
+        # matrix of the window (under 6 x 3 N P doubles) and one chunk of
+        # CHUNK_NODES expanded nodes (four arrays).  A stencil materialized
+        # for all N P^3 nodes adds two 5.5 MB arrays and crosses the bound.
         n = 2000
         length = (n / 4.0) ** (1.0 / 3.0)
         sys = random_neutral_system(n, [length] * 3, seed=13)
@@ -538,6 +567,7 @@ class TestOneStencil:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        stencil = n * solver.spec.P ** 3 * 8
-        grids = 4 * solver.spec.n_grid * 16
-        assert peak < 3.5 * stencil + grids
+        near = chunk_length(n) * 26 * 8
+        far = (4 * solver.spec.n_grid * 16 + 6 * 3 * n * solver.spec.P * 8
+               + 4 * mesh.CHUNK_NODES * 8)
+        assert peak < max(near, far)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from prolate_ewald import npt
+from prolate_ewald import npt, realspace
 from prolate_ewald.evaluate import CoulombSolver, EwaldParameters, ParameterError
 from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
                                ThermoRecord, barostat_step, integrate,
@@ -384,3 +384,63 @@ class TestVerletList:
             assert not missing, (f, missing)
         # 0.99 to 0.85 crosses reach / (reach + skin) = 1 / 1.1 once.
         assert state.neighbor_rebuilds == 2
+
+
+class TestFusedPairPass:
+    @staticmethod
+    def sheared(sys, shear):
+        h = sys.cell.h.copy()
+        h[0, 1], h[1, 2] = shear * h[0, 0], -0.5 * shear * h[1, 1]
+        return ParticleSystem(cell=Cell(h=h), positions=sys.positions,
+                              charges=sys.charges, masses=sys.masses,
+                              momenta=sys.momenta)
+
+    @pytest.mark.parametrize("shear", [0.0, 0.25])
+    @pytest.mark.parametrize("prefactor", [1.0, 1.7, 0.0])
+    def test_matches_passes_run_apart(self, shear, prefactor):
+        # The NPT step sums the soft core inside the Coulomb near-field pass
+        # over its Verlet list (built with a skin, so it holds pairs beyond
+        # r_c); run apart over a list without a skin, short_range (inside
+        # evaluate) and softcore_interactions give the same sums up to the
+        # order of summation.  The prefactor scales the Coulomb terms only.
+        sys = self.sheared(toy_system(n=64, L=5.0, seed=12), shear)
+        cfg = toy_config(softcore_coeff=0.7, ewald=EwaldParameters(
+            r_c=1.5, delta_split=1e-4, prefactor=prefactor))
+        solver = CoulombSolver(sys.cell, cfg.ewald)
+        state = NptState(system=sys, solver=solver)
+        u_coul, u_sc, forces, p_pot = npt._evaluate_all(state, cfg)
+        assert state.neighbors.skin > 0.0
+        assert sys.cell.is_orthorhombic == (shear == 0.0)
+
+        bare = build_cell_list(sys, cfg.ewald.r_c)
+        assert bare.n_pairs < state.neighbors.n_pairs
+        coul = solver.evaluate(sys, neighbors=bare)
+        e_sc, f_sc, p_sc = softcore_interactions(sys, cfg.softcore_coeff,
+                                                 cfg.ewald.r_c, neighbors=bare)
+        assert e_sc > 0.0 and np.all(np.isfinite(f_sc))
+        for got, want in ((u_coul, coul.energy), (u_sc, e_sc),
+                          (forces, coul.forces + f_sc),
+                          (p_pot, coul.pressure + p_sc)):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if prefactor == 0.0:
+            assert u_coul == 0.0
+            np.testing.assert_allclose(forces, f_sc, rtol=1e-12,
+                                       atol=1e-12 * np.abs(f_sc).max())
+
+    def test_one_pair_pass_per_step(self, monkeypatch):
+        calls = []
+        inner = realspace.pair_sums
+
+        def counted(sys, neighbors, cutoff, terms):
+            calls.append(len(terms))
+            return inner(sys, neighbors, cutoff, terms)
+
+        monkeypatch.setattr(realspace, "pair_sums", counted)
+        monkeypatch.setattr(npt, "pair_sums", counted)
+        sys = toy_system(n=64, L=5.0, seed=12)
+        cfg = toy_config()
+        state = NptState(system=sys, solver=CoulombSolver(sys.cell, cfg.ewald))
+        npt._evaluate_all(state, cfg)
+        assert state.neighbors.n_pairs > 0
+        assert calls == [2]

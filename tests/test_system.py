@@ -92,6 +92,24 @@ class TestMinimumImage:
             s = cell.fractional(got)
             assert np.all(s >= -0.5) and np.all(s < 0.5)
 
+    def test_orthorhombic_matches_fractional_path(self):
+        # An orthorhombic cell takes the image per axis.  It agrees with the
+        # fractional-coordinate image of a general cell on random
+        # separations, and exact half-box separations map to -L/2.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            lengths = rng.uniform(1.0, 20.0, 3)
+            cell = Cell.orthorhombic(lengths)
+            assert cell.is_orthorhombic
+            half = 0.5 * lengths * rng.choice([-1.0, 1.0], (64, 3))
+            dr = np.vstack([rng.uniform(-1.5, 1.5, (2000, 3)) * lengths, half])
+            got = minimum_image(cell, dr)
+            s = cell.fractional(dr)
+            s -= np.floor(s + 0.5)
+            assert np.all(np.abs(got - cell.cartesian(s)) <= 1e-15 * lengths)
+            assert np.all(got >= -0.5 * lengths) and np.all(got < 0.5 * lengths)
+            np.testing.assert_array_equal(got[-64:], np.tile(-0.5 * lengths, (64, 1)))
+
     def test_fractional_component_range(self):
         cell = Cell.orthorhombic([3.0, 5.0, 7.0])
         rng = np.random.default_rng(2)
