@@ -8,15 +8,14 @@ desk-scale NPT integrator.
 """
 
 from .evaluate import (CoulombSolver, EnergyBreakdown, EwaldParameters,
-                       evaluate_exact, evaluate_system, kinetic_pressure)
+                       evaluate_exact, kinetic_pressure)
 from .kernel import (SplitKernel, background_correction, far_field,
                      fn_weight, near_field, self_energy)
 from .mesh import (GridSpec, ModeWorkspace, TransformProvider,
                    forward_density, local_pressure, long_range_energy,
                    long_range_forces, long_range_pressure, plan_grid)
 from .npt import (NptConfig, ThermoRecord, TrajectoryStatistics,
-                  barostat_step, integrate, maxwell_boltzmann_momenta,
-                  softcore_interactions)
+                  barostat_step, integrate, maxwell_boltzmann_momenta)
 from .oracle import (OracleReport, classical_ewald, direct_ksum,
                      fd_force_check, fd_pressure_check, make_report,
                      relative_deviation, virial_audit)
@@ -36,12 +35,11 @@ __all__ = [
     "TransformProvider", "WindowTable", "background_correction",
     "barostat_step", "build_cell_list", "build_pair_table", "build_pswf",
     "check_cutoff", "classical_ewald", "direct_ksum", "eval_phi0",
-    "evaluate_exact", "evaluate_system", "far_field", "fd_force_check",
+    "evaluate_exact", "far_field", "fd_force_check",
     "fd_pressure_check", "fn_weight", "forward_density", "integrate",
     "kinetic_pressure", "local_pressure", "long_range_energy",
     "long_range_forces", "long_range_pressure", "make_report",
     "maxwell_boltzmann_momenta", "minimum_image", "near_field", "plan_grid",
-    "relative_deviation", "self_energy", "short_range",
-    "softcore_interactions", "solve_bandwidth", "tabulate_window",
-    "virial_audit",
+    "relative_deviation", "self_energy", "short_range", "solve_bandwidth",
+    "tabulate_window", "virial_audit",
 ]

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .evaluate import (CoulombSolver, EwaldParameters, ParameterError,
-                       default_order, evaluate_exact, evaluate_system)
+                       default_order, evaluate_exact)
 from .kernel import KernelError
 from .mesh import PlanningError
 from .npt import NptConfig, SimulationError, integrate
@@ -288,7 +289,7 @@ def cmd_tune(args) -> int:
 # compute / local-pressure
 
 def compute_lines(sys: ParticleSystem, cfg: dict) -> list:
-    out = evaluate_system(sys, ewald_params(cfg, sys.cell))
+    out = CoulombSolver(sys.cell, ewald_params(cfg, sys.cell)).evaluate(sys)
     terms = {"near": out.u_near, "far": out.u_far, "self": out.u_self,
              "background": out.u_background}
     lines = [f"energy total {fnum(out.energy)}"]
@@ -338,7 +339,7 @@ def run_verification(sys: ParticleSystem, cfg: dict) -> list:
     reports = []
 
     exact = evaluate_exact(sys, params)
-    out = evaluate_system(sys, params)
+    out = CoulombSolver(sys.cell, params).evaluate(sys)
     reports.append(make_report("energy vs direct k-sum", exact.energy,
                                out.energy, delta))
     # Force and pressure errors carry an O(1) constant over delta that
@@ -391,15 +392,10 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     sys = read_particles(args.input)
-    params = ewald_params(cfg, sys.cell)
-    ncfg = NptConfig(dt=cfg["dt"], n_steps=cfg["n_steps"],
-                     target_T=cfg["target_t"], target_P0=cfg["target_p0"],
-                     tau_P=cfg["tau_p"], beta_T=cfg["beta_t"],
-                     thermostat_period=cfg["thermostat_period"],
-                     barostat=cfg["barostat"], seed=cfg["seed"],
-                     ewald=params, softcore_coeff=cfg["softcore_coeff"],
-                     record_every=cfg["record_every"],
-                     burn_in_fraction=cfg["burn_in_fraction"])
+    # Every NptConfig field but ewald is the option of its lower-cased name.
+    ncfg = NptConfig(ewald=ewald_params(cfg, sys.cell),
+                     **{f.name: cfg[f.name.lower()] for f in fields(NptConfig)
+                        if f.name != "ewald"})
     stats = integrate(ncfg, sys)
     lines = config_header(cfg, "simulate")
     lines.append("thermo-columns step T P_xx P_xy P_xz P_yy P_yz P_zz V "
@@ -498,6 +494,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=_sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -92,8 +92,8 @@ class EnergyBreakdown:
     u_far: float
     u_self: float
     u_background: float
-    forces: np.ndarray | None = None
-    pressure: np.ndarray | None = None
+    forces: np.ndarray
+    pressure: np.ndarray
     pair_count: int = 0
     extra: ShortRangeResult | None = None
 
@@ -108,11 +108,13 @@ class CoulombSolver:
         P = default_order(params.delta_split) if params.P is None else int(params.P)
         basis = build_pswf(solve_bandwidth(params.delta_split))
         self.kern = SplitKernel(basis=basis, r_c=params.r_c)
-        self.pair_table = build_pair_table(self.kern)
         self.window = tabulate_window(basis, P)
         self.provider = TransformProvider()
         self.spec = None
+        # Plan before tabulating: a cutoff too small to mesh raises
+        # PlanningError there rather than failing inside the spline fit.
         self.rebind_cell(cell)
+        self.pair_table = build_pair_table(self.kern)
 
     def rebind_cell(self, cell: Cell, fixed_M: tuple | None = None) -> None:
         """Plan the mesh for a new cell; bases, tables and window persist.
@@ -125,14 +127,12 @@ class CoulombSolver:
         check_cutoff(cell, self.params.r_c)
         spec = plan_grid(cell, self.kern, self.window,
                          self.params.oversampling, fixed_M)
-        if (self.spec is None or spec.M != self.spec.M
-                or spec.window is not self.spec.window):
+        if self.spec is None or spec.M != self.spec.M:
             self.mode_axes = axis_modes(spec)
         self.cell, self.spec = cell, spec
         self.modes = ModeWorkspace(spec, self.kern, cell, self.mode_axes)
 
-    def evaluate(self, sys: ParticleSystem, want_forces: bool = True,
-                 want_pressure: bool = True, neighbors=None,
+    def evaluate(self, sys: ParticleSystem, neighbors=None,
                  extra=None) -> EnergyBreakdown:
         """Energy, forces and pressure; ``extra``, a realspace.pair_sums
         term (npt's soft core), rides along the near-field pass."""
@@ -150,14 +150,11 @@ class CoulombSolver:
         rho = forward_density(sys, self.spec, self.provider)
         u_far = long_range_energy(rho, self.kern, self.spec, sys.cell,
                                   modes=self.modes)
-        f_far = p_far = None
-        if want_forces:
-            f_far = long_range_forces(rho, sys, self.kern, self.spec, sys.cell,
-                                      mode=self.params.force_mode,
-                                      provider=self.provider, modes=self.modes)
-        if want_pressure:
-            p_far = long_range_pressure(rho, self.kern, self.spec, sys.cell,
-                                        modes=self.modes)
+        f_far = long_range_forces(rho, sys, self.kern, self.spec, sys.cell,
+                                  mode=self.params.force_mode,
+                                  provider=self.provider, modes=self.modes)
+        p_far = long_range_pressure(rho, self.kern, self.spec, sys.cell,
+                                    modes=self.modes)
         return _assemble(sys, self.kern, self.params.prefactor, sr,
                          u_far, f_far, p_far)
 
@@ -170,24 +167,18 @@ class CoulombSolver:
 
 
 def _assemble(sys: ParticleSystem, kern: SplitKernel, pref: float,
-              sr: ShortRangeResult, u_far: float, f_far=None,
-              p_far=None) -> EnergyBreakdown:
-    """Add the self and background terms and apply the Coulomb prefactor.
-
-    Forces and pressure are filled only when their far-field part is given.
-    """
+              sr: ShortRangeResult, u_far: float, f_far: np.ndarray,
+              p_far: np.ndarray) -> EnergyBreakdown:
+    """Add the self and background terms and apply the Coulomb prefactor."""
     u_self = self_energy(kern, sys.charges)
     u_cb, u_bb, p_corr = background_correction(kern, sys.total_charge,
                                                sys.cell.volume)
-    out = EnergyBreakdown(u_near=pref * sr.energy, u_far=pref * u_far,
-                          u_self=pref * u_self,
-                          u_background=pref * (u_cb + u_bb),
-                          pair_count=sr.pair_count, extra=sr.extra)
-    if f_far is not None:
-        out.forces = pref * (sr.forces + f_far)
-    if p_far is not None:
-        out.pressure = pref * (sr.pressure + p_far + p_corr)
-    return out
+    return EnergyBreakdown(u_near=pref * sr.energy, u_far=pref * u_far,
+                           u_self=pref * u_self,
+                           u_background=pref * (u_cb + u_bb),
+                           forces=pref * (sr.forces + f_far),
+                           pressure=pref * (sr.pressure + p_far + p_corr),
+                           pair_count=sr.pair_count, extra=sr.extra)
 
 
 def evaluate_exact(sys: ParticleSystem,
@@ -196,22 +187,13 @@ def evaluate_exact(sys: ParticleSystem,
 
     The far field is the exact mode sum (``direct_ksum``) and the near field
     the closed-form kernel; ``delta_split``, ``r_c`` and ``prefactor`` are
-    used, the mesh knobs are not.  Always fills forces and pressure.
-    Costs O(N * modes).
+    used, the mesh knobs are not.  Costs O(N * modes).
     """
     kern = SplitKernel(basis=build_pswf(solve_bandwidth(params.delta_split)),
                        r_c=params.r_c)
     sr = short_range(sys, kern, build_cell_list(sys, params.r_c))
     u_far, f_far, p_far = direct_ksum(sys, kern)
     return _assemble(sys, kern, params.prefactor, sr, u_far, f_far, p_far)
-
-
-def evaluate_system(sys: ParticleSystem, params: EwaldParameters,
-                    want_forces: bool = True,
-                    want_pressure: bool = True) -> EnergyBreakdown:
-    """One-shot mesh evaluation of a single configuration on any cell."""
-    return CoulombSolver(sys.cell, params).evaluate(
-        sys, want_forces=want_forces, want_pressure=want_pressure)
 
 
 def kinetic_pressure(sys: ParticleSystem) -> np.ndarray:

@@ -106,9 +106,9 @@ def self_energy(kern: SplitKernel, charges) -> float:
     return float(-(b.psi0_at_zero / (2.0 * b.C0 * kern.r_c)) * np.sum(q * q))
 
 
-def background_integral(kern: SplitKernel, n_nodes: int = 128) -> float:
-    """J = r_c^2/2 - int_0^{r_c} r phi_0^c(r) dr, by fixed Gauss-Legendre."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+def background_integral(kern: SplitKernel) -> float:
+    """J = r_c^2/2 - int_0^{r_c} r phi_0^c(r) dr, by 128-node Gauss-Legendre."""
+    nodes, weights = np.polynomial.legendre.leggauss(128)
     r = 0.5 * kern.r_c * (nodes + 1.0)
     w = 0.5 * kern.r_c * weights
     integral = float(np.sum(w * r * eval_phi0(kern.basis, r, kern.r_c)))

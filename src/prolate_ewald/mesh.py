@@ -108,7 +108,12 @@ def plan_grid(cell: Cell, kern: SplitKernel, window: WindowTable,
     if fixed_M is not None:
         M = np.asarray(fixed_M, dtype=int)
     else:
-        M = np.ceil(oversampling * kmax * lengths / np.pi).astype(int)
+        M = np.ceil(oversampling * kmax * lengths / np.pi)
+        if not np.all(M < 2.0**63):    # also catches inf and nan
+            raise PlanningError(
+                f"grid counts {' x '.join(f'{m:.4g}' for m in M)} requested "
+                f"by kmax={kmax:.4g} do not fit in an int64; raise r_c")
+        M = M.astype(int)
         M += M % 2
         M = np.maximum(M, 2)
     spacing = lengths / M

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .evaluate import (CoulombSolver, EwaldParameters, ParameterError,
-                       kinetic_pressure)
-from .realspace import pair_sums
+from .evaluate import CoulombSolver, EwaldParameters, kinetic_pressure
 from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
                      check_cutoff, minimum_image)
 
-# The barostat stops a run whose volume falls below this (reduced units).
+# The barostat stops a run whose volume falls below this, and integrate a
+# run whose largest force component exceeds FORCE_CEILING (reduced units).
 VOLUME_FLOOR = 1e-6
+FORCE_CEILING = 1e8
 
 
 class SimulationError(Exception):
@@ -44,11 +44,9 @@ class NptConfig:
     beta_T: float = 0.05
     thermostat_period: int = 0        # 0 disables velocity rescaling
     barostat: bool = False
-    barostat_noise: bool = True
     seed: int = 0
     ewald: EwaldParameters = field(default_factory=lambda: EwaldParameters(r_c=1.0))
     softcore_coeff: float = 1.0
-    force_ceiling: float = 1e8
     record_every: int = 10
     burn_in_fraction: float = 0.2
 
@@ -107,21 +105,6 @@ def softcore_pairs(coeff: float, cutoff: float):
         inv12 = coeff / r2**6
         return inv12 - shift, 12.0 * inv12 / r2
     return term
-
-
-def softcore_interactions(sys: ParticleSystem, coeff: float, cutoff: float,
-                          neighbors=None):
-    """Purely repulsive A/r^12, shifted to zero at the cutoff, on its own.
-
-    Returns (energy, forces, potential pressure tensor).
-    """
-    if neighbors is None:
-        neighbors = build_cell_list(sys, cutoff)
-    elif neighbors.r_c < cutoff:
-        raise ParameterError(f"neighbor list built for r_c={neighbors.r_c} "
-                             f"misses pairs within cutoff={cutoff}")
-    sc, = pair_sums(sys, neighbors, cutoff, [softcore_pairs(coeff, cutoff)])
-    return sc.energy, sc.forces, sc.pressure
 
 
 def maxwell_boltzmann_momenta(masses: np.ndarray, target_T: float,
@@ -183,13 +166,14 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
     """Euler-Maruyama step of the stochastic cell-rescaling SDE.
 
     d(eps) = -(beta_T/tau_P)(P0 - P_ins) dt + sqrt(2 T beta_T/(V tau_P)) dW
-    followed by V <- V e^{eps} with an affine position rescale.
+    followed by V <- V e^{eps} with an affine position rescale.  The noise
+    vanishes at target_T = 0 and is not drawn at beta_T = 0.
     """
     sys = state.system
     V = sys.cell.volume
     drift = -(cfg.beta_T / cfg.tau_P) * (cfg.target_P0 - p_ins_scalar) * cfg.dt
     noise = 0.0
-    if cfg.barostat_noise and cfg.beta_T > 0:
+    if cfg.beta_T > 0:
         amp = np.sqrt(2.0 * cfg.target_T * cfg.beta_T / (V * cfg.tau_P))
         noise = amp * np.sqrt(cfg.dt) * rng.standard_normal()
     deps = drift + noise
@@ -219,12 +203,13 @@ class TrajectoryStatistics:
     neighbor_rebuilds: int
 
 
-def _mean_stderr(values: np.ndarray, n_blocks: int = 20):
-    """Mean and block-averaged standard error (samples are autocorrelated)."""
+def _mean_stderr(values: np.ndarray):
+    """Mean and standard error of the means of up to 20 blocks (samples
+    are autocorrelated)."""
     m = float(np.mean(values))
     if values.size < 4:
         return m, 0.0
-    nb = min(n_blocks, values.size // 2)
+    nb = min(20, values.size // 2)
     blocks = np.array_split(values, nb)
     means = np.array([b.mean() for b in blocks])
     return m, float(np.std(means, ddof=1) / np.sqrt(nb))
@@ -262,7 +247,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     record(0)
     for step in range(1, cfg.n_steps + 1):
         s = state.system
-        if np.max(np.abs(forces)) > cfg.force_ceiling:
+        if np.max(np.abs(forces)) > FORCE_CEILING:
             raise SimulationError(f"force blowup at step {step}")
         p_half = s.momenta + 0.5 * cfg.dt * forces
         new_pos = s.positions + cfg.dt * p_half / s.masses[:, None]

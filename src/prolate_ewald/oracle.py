@@ -27,8 +27,6 @@ class OracleError(Exception):
 @dataclass
 class OracleReport:
     quantity: str
-    oracle_value: np.ndarray
-    test_value: np.ndarray
     abs_deviation: float
     rel_deviation: float
     tolerance: float
@@ -51,8 +49,7 @@ def relative_deviation(a, b) -> float:
 def make_report(quantity, oracle_value, test_value, tolerance) -> OracleReport:
     rel = relative_deviation(oracle_value, test_value)
     ab = float(np.max(np.abs(np.asarray(oracle_value) - np.asarray(test_value))))
-    return OracleReport(quantity=quantity, oracle_value=np.asarray(oracle_value),
-                        test_value=np.asarray(test_value), abs_deviation=ab,
+    return OracleReport(quantity=quantity, abs_deviation=ab,
                         rel_deviation=rel, tolerance=float(tolerance),
                         passed=bool(rel <= tolerance))
 
@@ -295,7 +292,6 @@ def virial_audit(sys: ParticleSystem, p_near: np.ndarray, p_far: np.ndarray,
     rhs = u_near + u_far + u_self
     tol_abs = 10.0 * delta * max(abs(rhs), RELATIVE_FLOOR)
     dev = abs(lhs - rhs)
-    return OracleReport(quantity="virial identity", oracle_value=np.asarray(rhs),
-                        test_value=np.asarray(lhs), abs_deviation=dev,
+    return OracleReport(quantity="virial identity", abs_deviation=dev,
                         rel_deviation=dev / max(abs(rhs), RELATIVE_FLOOR),
                         tolerance=tol_abs, passed=bool(dev <= tol_abs))

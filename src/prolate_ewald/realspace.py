@@ -19,6 +19,10 @@ class SingularPairError(RealspaceError):
     """Coincident particles; physical configurations never need them."""
 
 
+# Uniform intervals of the pair table on [0, r_c].
+PAIR_TABLE_INTERVALS = 4096
+
+
 @dataclass(frozen=True)
 class ShortRangeResult:
     energy: float
@@ -33,39 +37,37 @@ class PairTable:
     """Near-field kernel and force weight from one uniform cubic table on [0, r_c].
 
     Row k of ``coeffs`` holds the cubic pieces of far_field and fn_weight on
-    [k h, (k + 1) h], h = r_c / resolution, highest power first.  Both are
-    smooth, so only they are tabulated; the 1/r singularity of the near
-    field N(r) = 1/r - far_field(r) is added back exactly.
+    [k h, (k + 1) h], h = r_c / PAIR_TABLE_INTERVALS, highest power first.
+    Both are smooth, so only they are tabulated; the 1/r singularity of the
+    near field N(r) = 1/r - far_field(r) is added back exactly.
     """
 
     r_c: float
-    coeffs: np.ndarray  # (resolution, 8): far_field then fn_weight
-    resolution: int
+    coeffs: np.ndarray  # (PAIR_TABLE_INTERVALS, 8): far_field then fn_weight
 
     def eval(self, r):
         """N(r) and F_N(r) for float arrays 0 < r <= r_c; row k = int(r/h)."""
-        k = np.minimum((r * (self.resolution / self.r_c)).astype(np.intp),
-                       self.resolution - 1)
-        t = (r - k * (self.r_c / self.resolution))[..., None]
+        n = PAIR_TABLE_INTERVALS
+        k = np.minimum((r * (n / self.r_c)).astype(np.intp), n - 1)
+        t = (r - k * (self.r_c / n))[..., None]
         c = self.coeffs.reshape(-1, 2, 4).take(k, axis=0)
         p = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
         return 1.0 / r - p[..., 0], p[..., 1]
 
 
-def build_pair_table(kern: SplitKernel, resolution: int = 4096) -> PairTable:
+def build_pair_table(kern: SplitKernel) -> PairTable:
     """Tabulate far_field and fn_weight as cubic splines on a uniform grid.
 
-    With 4096 intervals, N(r) stays within 3e-13 of the closed form relative
-    to max(|N(r)|, |N(r_c/2)|), and F_N(r) within 3e-14, for delta_split
-    from 1e-3 to 1e-12.
+    With PAIR_TABLE_INTERVALS = 4096, N(r) stays within 3e-13 of the closed
+    form relative to max(|N(r)|, |N(r_c/2)|), and F_N(r) within 3e-14, for
+    delta_split from 1e-3 to 1e-12.
     """
-    knots = np.linspace(0.0, kern.r_c, resolution + 1)
+    knots = np.linspace(0.0, kern.r_c, PAIR_TABLE_INTERVALS + 1)
     far = CubicSpline(knots, far_field(kern, knots)).c
     # F_N(0) = 1 is a limit; fn_weight takes r > 0 only.
     fn = CubicSpline(knots, fn_weight(kern, np.maximum(knots, 1e-300))).c
     return PairTable(r_c=kern.r_c,
-                     coeffs=np.ascontiguousarray(np.vstack([far, fn]).T),
-                     resolution=int(resolution))
+                     coeffs=np.ascontiguousarray(np.vstack([far, fn]).T))
 
 
 def _add_pair_forces(forces: np.ndarray, i, j, fmag, dr) -> None:

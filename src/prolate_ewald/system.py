@@ -63,8 +63,17 @@ class Cell:
         return np.asarray(fractional) @ self.h.T
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
-        s = self.fractional(positions)
-        return self.cartesian(s - np.floor(s))
+        """A copy with the rows outside the cell mapped into it.
+
+        Rows whose fractional coordinates already lie in [0, 1) are left
+        bit for bit, so wrapping wrapped positions moves nothing.
+        """
+        pos = np.array(positions, dtype=float)
+        s = self.fractional(pos)
+        out = np.any((s < 0.0) | (s >= 1.0), axis=1)
+        if out.any():
+            pos[out] = self.cartesian(s[out] - np.floor(s[out]))
+        return pos
 
 
 def minimum_image(cell: Cell, dr: np.ndarray) -> np.ndarray:

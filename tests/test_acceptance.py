@@ -35,7 +35,6 @@ from prolate_ewald import (
     solve_bandwidth,
     virial_audit,
 )
-from prolate_ewald.evaluate import evaluate_system
 
 # ---------------------------------------------------------------------------
 # shared ensemble
@@ -170,7 +169,7 @@ def test_agrees_with_classical_ewald():
     params = EwaldParameters(r_c=R_CUT, delta_split=1e-8, oversampling=2.0)
     deviations = []
     for sys in systems:
-        out = evaluate_system(sys, params)
+        out = CoulombSolver(sys.cell, params).evaluate(sys)
         e_cl, f_cl, p_cl = classical_ewald(sys)
         deviations.append((abs(out.energy - e_cl), abs(e_cl),
                            np.linalg.norm(out.forces - f_cl),
@@ -207,8 +206,7 @@ def rescaled_energy(sys, params):
         cell = Cell(h=h)
         probe = ParticleSystem(cell=cell, positions=frac @ h.T,
                                charges=sys.charges)
-        return evaluate_system(probe, params, want_forces=False,
-                               want_pressure=False).energy
+        return CoulombSolver(cell, params).evaluate(probe).energy
 
     return energy_of_cell
 
@@ -217,7 +215,7 @@ def rescaled_energy(sys, params):
 def test_pressure_is_energy_derivative(coupling):
     params = EwaldParameters(r_c=1.2, delta_split=1e-6, oversampling=2.0)
     sys = random_neutral_system(16, (5.0, 5.5, 6.0), seed=12)
-    out = evaluate_system(sys, params)
+    out = CoulombSolver(sys.cell, params).evaluate(sys)
     report = fd_pressure_check(sys, rescaled_energy(sys, params),
                                out.pressure, coupling=coupling,
                                tolerance=1e-5)
@@ -262,14 +260,13 @@ def test_mesh_pressure_is_cell_derivative_triclinic():
     solver = CoulombSolver(sys.cell, EwaldParameters(
         r_c=1.3, delta_split=1e-6, oversampling=2.0))
     grid = solver.spec.M
-    pressure = solver.evaluate(sys, want_forces=False).pressure
+    pressure = solver.evaluate(sys).pressure
 
     def energy_of_cell(hmat):
         probe = ParticleSystem(cell=Cell(h=hmat), positions=frac @ hmat.T,
                                charges=sys.charges)
         solver.rebind_cell(probe.cell, fixed_M=grid)
-        return solver.evaluate(probe, want_forces=False,
-                               want_pressure=False).energy
+        return solver.evaluate(probe).energy
 
     report = fd_pressure_check(sys, energy_of_cell, pressure,
                                coupling="flexible", tolerance=1e-5)

@@ -7,15 +7,19 @@ import subprocess
 import sys as _sys
 import warnings
 from contextlib import redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from prolate_ewald import cli
 from prolate_ewald.cli import (OPTIONS, InputError, TuningError,
                                build_parser, ewald_params, main, read_config,
                                read_particles, resolve_config,
                                tune_parameters, write_particles)
+from prolate_ewald.evaluate import EwaldParameters
+from prolate_ewald.npt import NptConfig
 from prolate_ewald.system import Cell, ParticleSystem
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +185,15 @@ class TestConfig:
         from_flags = resolve_config(args)
         for key in OPTIONS.keys() - {"burn_in_fraction"}:
             assert from_flags[key] == from_file[key], key
+
+    def test_every_library_knob_has_an_option(self):
+        # A knob only the library can set cannot come back unnoticed: every
+        # EwaldParameters field (P as p_order) and every NptConfig field but
+        # ewald is the OPTIONS key of its lower-cased name.
+        names = [f.name for f in fields(EwaldParameters) + fields(NptConfig)
+                 if f.name != "ewald"]
+        keys = {"p_order" if name == "P" else name.lower() for name in names}
+        assert keys <= OPTIONS.keys(), keys - OPTIONS.keys()
 
 
 class TestTune:
@@ -545,6 +558,36 @@ class TestErrorMapping:
         code, _ = run_cli("compute", "--input", str(FIXTURES / "pair.txt"),
                           "--r-c", "5.0")
         assert code == 3
+
+    @pytest.mark.parametrize("r_c", ["1e-20", "1e-300"])
+    def test_tiny_cutoff_is_planning_error(self, r_c, tmp_path, capsys):
+        # The grid such a cutoff needs has more than 2^63 points per axis;
+        # planning says so before the pair table or any grid is built.
+        path = tmp_path / "two.txt"
+        path.write_text("cell 5 5 5\n1 1 1 1 1\n2 2 2 -1 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli("compute", "--input", str(path), "--r-c", r_c)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: grid counts") and err.count("\n") == 1
+        assert "int64" in err
+
+    def test_out_of_memory_is_runtime_error(self, monkeypatch, capsys):
+        # A grid that fits in an int64 but not in memory (compute --r-c 1e-3
+        # on a 5^3 cell plans 26888^3) ends in numpy's MemoryError; it is
+        # raised here without allocating.
+        def solver(*args):
+            raise MemoryError("Unable to allocate 70.7 TiB for an array")
+
+        monkeypatch.setattr(cli, "CoulombSolver", solver)
+        code, out = run_cli("compute", "--input", str(FIXTURES / "pair.txt"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert out == ""
+        assert err == ("error: out of memory: "
+                       "Unable to allocate 70.7 TiB for an array\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--prefactor", "nan"), ("--prefactor", "inf"), ("--r-c", "nan"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prolate_ewald import (Cell, CoulombSolver, EwaldParameters,
-                           ParticleSystem, evaluate_exact, evaluate_system)
+                           ParticleSystem, evaluate_exact)
 from prolate_ewald import evaluate
 from prolate_ewald.evaluate import ParameterError
 from prolate_ewald.system import build_cell_list
@@ -97,7 +97,7 @@ class TestExactPath:
                              charges=q)
         params = EwaldParameters(r_c=2.5, delta_split=1e-6, oversampling=2.0,
                                  prefactor=1.7)
-        mesh = evaluate_system(sys, params)
+        mesh = CoulombSolver(sys.cell, params).evaluate(sys)
         exact = evaluate_exact(sys, params)
         assert exact.u_self == mesh.u_self
         assert exact.u_background == mesh.u_background != 0.0
@@ -142,7 +142,7 @@ class TestExactPath:
         sys = triclinic_system()
         params = EwaldParameters(r_c=2.5, delta_split=1e-6, oversampling=2.0,
                                  prefactor=1.7, force_mode=force_mode)
-        mesh = evaluate_system(sys, params)
+        mesh = CoulombSolver(sys.cell, params).evaluate(sys)
         exact = evaluate_exact(sys, params)
         assert exact.u_self == mesh.u_self
         assert exact.u_background == mesh.u_background != 0.0

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from prolate_ewald import npt, realspace
-from prolate_ewald.evaluate import CoulombSolver, EwaldParameters, ParameterError
+from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
 from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
                                ThermoRecord, barostat_step, integrate,
                                kinetic_temperature, maxwell_boltzmann_momenta,
-                               softcore_interactions)
+                               softcore_pairs)
 from prolate_ewald.system import (Cell, ParticleSystem, build_cell_list,
                                   minimum_image)
 
@@ -34,6 +34,15 @@ def toy_config(**overrides):
                 record_every=1, thermostat_period=0)
     base.update(overrides)
     return NptConfig(**base)
+
+
+def softcore(sys, coeff, cutoff, neighbors=None):
+    """(energy, forces, pressure) of the soft core alone, in one pair pass."""
+    if neighbors is None:
+        neighbors = build_cell_list(sys, cutoff)
+    sc, = realspace.pair_sums(sys, neighbors, cutoff,
+                              [softcore_pairs(coeff, cutoff)])
+    return sc.energy, sc.forces, sc.pressure
 
 
 class TestConfig:
@@ -69,45 +78,38 @@ class TestSoftcore:
 
     def test_pair_energy_and_shift(self):
         d, c, A = 0.8, 1.5, 2.0
-        e, f, p = softcore_interactions(self.pair(d), A, c)
+        e, f, p = softcore(self.pair(d), A, c)
         assert e == pytest.approx(A / d**12 - A / c**12, rel=1e-12)
         # Exactly at the cutoff the shifted potential vanishes.
-        e_c, _, _ = softcore_interactions(self.pair(c * (1 - 1e-12)), A, c)
+        e_c, _, _ = softcore(self.pair(c * (1 - 1e-12)), A, c)
         assert abs(e_c) < 1e-10
 
     def test_repulsive_force(self):
         d, c, A = 0.8, 1.5, 2.0
-        _, f, _ = softcore_interactions(self.pair(d), A, c)
+        _, f, _ = softcore(self.pair(d), A, c)
         assert f[0, 0] == pytest.approx(-12.0 * A / d**13, rel=1e-12)
         np.testing.assert_allclose(f[0], -f[1], atol=1e-15)
 
     def test_beyond_cutoff(self):
-        e, f, p = softcore_interactions(self.pair(3.0), 1.0, 1.5)
+        e, f, p = softcore(self.pair(3.0), 1.0, 1.5)
         assert e == 0.0
         assert np.all(f == 0.0) and np.all(p == 0.0)
-
-    def test_short_list_rejected(self):
-        sys = self.pair(0.8)
-        with pytest.raises(ParameterError, match="cutoff=1.5"):
-            softcore_interactions(sys, 1.0, 1.5,
-                                  neighbors=build_cell_list(sys, 1.0))
         # A list with a skin holds the pair at 1.8 > 1.5, which is dropped.
         far = self.pair(1.8)
-        e, f, p = softcore_interactions(far, 1.0, 1.5,
-                                        neighbors=build_cell_list(far, 1.5, 0.5))
+        e, f, p = softcore(far, 1.0, 1.5, build_cell_list(far, 1.5, 0.5))
         assert e == 0.0 and np.all(f == 0.0) and np.all(p == 0.0)
 
     def test_force_is_energy_gradient(self):
         d, c, A = 0.9, 1.5, 2.0
-        _, f, _ = softcore_interactions(self.pair(d), A, c)
+        _, f, _ = softcore(self.pair(d), A, c)
         step = 1e-7
-        num = (softcore_interactions(self.pair(d + step), A, c)[0]
-               - softcore_interactions(self.pair(d - step), A, c)[0]) / (2 * step)
+        num = (softcore(self.pair(d + step), A, c)[0]
+               - softcore(self.pair(d - step), A, c)[0]) / (2 * step)
         assert f[1, 0] == pytest.approx(-num, rel=1e-6)
 
     def test_positive_pressure(self):
         sys = toy_system(n=27, L=4.0, seed=1)
-        _, _, p = softcore_interactions(sys, 1.0, 1.4)
+        _, _, p = softcore(sys, 1.0, 1.4)
         assert np.trace(p) > 0.0
 
     def test_many_particles_match_all_pairs(self):
@@ -115,7 +117,7 @@ class TestSoftcore:
         # repeated indices; the reference adds them one pair at a time.
         A, c = 1.5, 1.6
         sys = toy_system(n=216, L=7.5, seed=2)
-        e, f, p = softcore_interactions(sys, A, c)
+        e, f, p = softcore(sys, A, c)
         e_ref, f_ref, virial = 0.0, np.zeros((sys.n, 3)), np.zeros((3, 3))
         for a in range(sys.n - 1):
             for b in range(a + 1, sys.n):
@@ -153,13 +155,15 @@ class TestMomenta:
 
 
 class TestBarostatStep:
+    # target_T = 0 zeroes the noise amplitude sqrt(2 T beta_T / (V tau_P)),
+    # which makes a barostat step deterministic.
     def make_state(self, cfg):
         sys = toy_system(n=16, L=8.0, seed=5)
         solver = CoulombSolver(sys.cell, cfg.ewald)
         return NptState(system=sys, solver=solver)
 
     def test_equilibrium_leaves_volume(self):
-        cfg = toy_config(barostat=True, barostat_noise=False, target_P0=0.3)
+        cfg = toy_config(barostat=True, target_T=0.0, target_P0=0.3)
         state = self.make_state(cfg)
         v0 = state.system.cell.volume
         state = barostat_step(state, cfg, cfg.target_P0,
@@ -168,7 +172,7 @@ class TestBarostatStep:
 
     def test_compression_direction(self):
         # P_ins above target expands the box, below target compresses it.
-        cfg = toy_config(barostat=True, barostat_noise=False, target_P0=0.0)
+        cfg = toy_config(barostat=True, target_T=0.0, target_P0=0.0)
         state = self.make_state(cfg)
         v0 = state.system.cell.volume
         state = barostat_step(state, cfg, 1.0, np.random.default_rng(0))
@@ -178,7 +182,7 @@ class TestBarostatStep:
         assert state2.system.cell.volume < v0
 
     def test_fractional_coordinates_fixed(self):
-        cfg = toy_config(barostat=True, barostat_noise=False)
+        cfg = toy_config(barostat=True, target_T=0.0)
         state = self.make_state(cfg)
         frac0 = state.system.cell.fractional(state.system.positions)
         state = barostat_step(state, cfg, 5.0, np.random.default_rng(0))
@@ -186,14 +190,14 @@ class TestBarostatStep:
         np.testing.assert_allclose(frac1, frac0, atol=1e-13)
 
     def test_volume_floor(self):
-        cfg = toy_config(barostat=True, barostat_noise=False, beta_T=1.0,
+        cfg = toy_config(barostat=True, target_T=0.0, beta_T=1.0,
                          tau_P=1e-3, dt=1.0)
         state = self.make_state(cfg)
         with pytest.raises(SimulationError, match="volume"):
             barostat_step(state, cfg, -1e9, np.random.default_rng(0))
 
     def test_small_moves_keep_grid_pinned(self):
-        cfg = toy_config(barostat=True, barostat_noise=False)
+        cfg = toy_config(barostat=True, target_T=0.0)
         state = self.make_state(cfg)
         M0 = state.solver.spec.M
         state = barostat_step(state, cfg, cfg.target_P0 + 1e-4,
@@ -246,8 +250,7 @@ class TestIntegrate:
         assert a.records[-1].volume != b.records[-1].volume
 
     def test_frozen_barostat_conserves_volume(self):
-        cfg = toy_config(n_steps=10, barostat=True, barostat_noise=False,
-                         beta_T=0.0)
+        cfg = toy_config(n_steps=10, barostat=True, beta_T=0.0)
         stats = integrate(cfg, toy_system(seed=8))
         vols = [r.volume for r in stats.records]
         assert max(vols) == min(vols)
@@ -273,12 +276,14 @@ class TestIntegrate:
         assert np.linalg.norm(forces.sum(axis=0)) <= 1e-10 * scale
 
     def test_force_ceiling_trips(self):
+        # The pair 0.02 apart feels about 1.5e23 from the soft core, far
+        # above npt.FORCE_CEILING.
         cell = Cell.orthorhombic([8.0, 8.0, 8.0])
         pos = np.array([[4.0, 4.0, 4.0], [4.02, 4.0, 4.0]])
         sys = ParticleSystem(cell=cell, positions=pos,
                              charges=np.array([1.0, -1.0]),
                              masses=np.ones(2), momenta=np.zeros((2, 3)))
-        cfg = toy_config(n_steps=5, force_ceiling=1.0)
+        cfg = toy_config(n_steps=5)
         with pytest.raises(SimulationError, match="force"):
             integrate(cfg, sys)
 
@@ -301,7 +306,7 @@ class TestIntegrate:
         # M = kmax L / pi to roundoff puts the cell on a grid boundary
         # (M 12 below it, 14 above), so the first step that expands
         # (target_P0 -100) raises M, and the first that compresses lowers it.
-        cfg = toy_config(n_steps=3, barostat=True, barostat_noise=False,
+        cfg = toy_config(n_steps=3, barostat=True, target_T=0.0,
                          target_P0=target_P0)
         kmax = CoulombSolver(Cell.orthorhombic([8.0] * 3), cfg.ewald).kern.kmax
         sys = toy_system(n=8, L=12 * np.pi / kmax * (1 + margin), seed=3)
@@ -401,8 +406,8 @@ class TestFusedPairPass:
         # The NPT step sums the soft core inside the Coulomb near-field pass
         # over its Verlet list (built with a skin, so it holds pairs beyond
         # r_c); run apart over a list without a skin, short_range (inside
-        # evaluate) and softcore_interactions give the same sums up to the
-        # order of summation.  The prefactor scales the Coulomb terms only.
+        # evaluate) and a soft-core-only pair_sums give the same sums up to
+        # the order of summation.  The prefactor scales the Coulomb terms only.
         sys = self.sheared(toy_system(n=64, L=5.0, seed=12), shear)
         cfg = toy_config(softcore_coeff=0.7, ewald=EwaldParameters(
             r_c=1.5, delta_split=1e-4, prefactor=prefactor))
@@ -415,8 +420,8 @@ class TestFusedPairPass:
         bare = build_cell_list(sys, cfg.ewald.r_c)
         assert bare.n_pairs < state.neighbors.n_pairs
         coul = solver.evaluate(sys, neighbors=bare)
-        e_sc, f_sc, p_sc = softcore_interactions(sys, cfg.softcore_coeff,
-                                                 cfg.ewald.r_c, neighbors=bare)
+        e_sc, f_sc, p_sc = softcore(sys, cfg.softcore_coeff, cfg.ewald.r_c,
+                                    neighbors=bare)
         assert e_sc > 0.0 and np.all(np.isfinite(f_sc))
         for got, want in ((u_coul, coul.energy), (u_sc, e_sc),
                           (forces, coul.forces + f_sc),
@@ -437,7 +442,6 @@ class TestFusedPairPass:
             return inner(sys, neighbors, cutoff, terms)
 
         monkeypatch.setattr(realspace, "pair_sums", counted)
-        monkeypatch.setattr(npt, "pair_sums", counted)
         sys = toy_system(n=64, L=5.0, seed=12)
         cfg = toy_config()
         state = NptState(system=sys, solver=CoulombSolver(sys.cell, cfg.ewald))

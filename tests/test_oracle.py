@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from prolate_ewald.evaluate import EwaldParameters, evaluate_system
+from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
 from prolate_ewald.oracle import (OracleError, OracleReport, classical_ewald,
                                   direct_ksum, fd_force_check,
                                   fd_pressure_check, make_report,
@@ -156,7 +156,7 @@ class TestClassicalEwald:
         sys = random_neutral_system(32, [6.0, 6.0, 6.0], seed=8)
         e_ref, f_ref, p_ref = classical_ewald(sys)
         params = EwaldParameters(r_c=1.3, delta_split=1e-7, oversampling=2.0)
-        out = evaluate_system(sys, params)
+        out = CoulombSolver(sys.cell, params).evaluate(sys)
         assert relative_deviation(e_ref, out.energy) < 1e-6
         assert relative_deviation(f_ref, out.forces) < 1e-6
         assert relative_deviation(p_ref, out.pressure) < 1e-5
@@ -186,14 +186,12 @@ class TestFdForceCheck:
         # Analytic differentiation is the exact gradient of the mesh energy,
         # which is the quantity finite differences probe.  One shared solver
         # keeps the FD loop cheap and bitwise consistent.
-        from prolate_ewald.evaluate import CoulombSolver
         solver = CoulombSolver(sys.cell, params)
 
         def energy(pos):
             probe = ParticleSystem(cell=sys.cell, positions=pos,
                                    charges=sys.charges)
-            return solver.evaluate(probe, want_forces=False,
-                                   want_pressure=False).energy
+            return solver.evaluate(probe).energy
 
         return solver, energy
 
@@ -234,8 +232,7 @@ class TestFdPressureCheck:
             cell = Cell(h=h)
             probe = ParticleSystem(cell=cell, positions=frac @ h.T,
                                    charges=sys.charges)
-            return evaluate_system(probe, params, want_forces=False,
-                                   want_pressure=False).energy
+            return CoulombSolver(cell, params).evaluate(probe).energy
 
         return energy_of_cell
 
@@ -250,7 +247,7 @@ class TestFdPressureCheck:
     def test_isotropic(self):
         params = EwaldParameters(r_c=1.2, delta_split=1e-6, oversampling=2.0)
         sys = random_neutral_system(16, [5.0, 5.5, 6.0], seed=12)
-        out = evaluate_system(sys, params)
+        out = CoulombSolver(sys.cell, params).evaluate(sys)
         rep = fd_pressure_check(sys, self.make_energy_of_cell(sys, params),
                                 out.pressure, coupling="isotropic",
                                 tolerance=1e-5)
@@ -259,7 +256,7 @@ class TestFdPressureCheck:
     def test_anisotropic(self):
         params = EwaldParameters(r_c=1.2, delta_split=1e-6, oversampling=2.0)
         sys = random_neutral_system(16, [5.0, 5.5, 6.0], seed=13)
-        out = evaluate_system(sys, params)
+        out = CoulombSolver(sys.cell, params).evaluate(sys)
         rep = fd_pressure_check(sys, self.make_energy_of_cell(sys, params),
                                 out.pressure, coupling="anisotropic",
                                 tolerance=1e-5)

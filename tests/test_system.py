@@ -1,5 +1,6 @@
 """Tests for cells, minimum image, particle snapshots, and neighbor search."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -132,6 +133,21 @@ class TestParticleSystem:
         pos = rng.uniform(-9, 9, (20, 3))
         once = cell.wrap(pos)
         np.testing.assert_allclose(cell.wrap(once), once, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [
+        np.diag([7.5, 7.5, 7.5]),
+        np.array([[7.5, 1.9, 0.3], [0.0, 7.1, 0.8], [0.0, 0.0, 6.9]])],
+        ids=["cubic", "sheared"])
+    def test_momentum_updates_leave_positions(self, h):
+        # integrate replaces the momenta of its snapshot several times a
+        # step; re-wrapping positions already in the cell must not move them.
+        rng = np.random.default_rng(0)
+        sys = ParticleSystem(cell=Cell(h=h), charges=np.zeros(216),
+                             positions=rng.uniform(-10, 20, (216, 3)))
+        start = sys.positions.copy()
+        for _ in range(1000):
+            sys = dataclasses.replace(sys, momenta=rng.standard_normal((216, 3)))
+        np.testing.assert_array_equal(sys.positions, start)
 
     def test_mass_validation(self):
         cell = Cell.orthorhombic([4.0, 4.0, 4.0])
