@@ -8,9 +8,11 @@ spectrum, and either reduce over modes (energy, global pressure: no inverse
 transform) or run one stacked inverse FFT of all the fields needed and
 gather through the same stencil (forces, per-particle pressure).
 forward_density returns the Fourier coefficients together with the stencil,
-so each configuration builds it exactly once.  The P^3 node indices and
-weight products of the stencil are expanded in particle chunks of at most
-CHUNK_NODES nodes and never stored, so memory stays bounded as N and P grow.
+so each configuration builds it exactly once.  Only the O(N P) stencil is
+stored; a pass allocates one block of the window's Chebyshev-Vandermonde
+matrix (at most 3 CHUNK_NODES values) and one chunk of index terms, flat
+indices and weight products (at most CHUNK_NODES nodes), so memory stays
+bounded as N and P grow.
 
 Any cell, triclinic or orthorhombic, takes the same path, as in smooth PME
 (Essmann et al., JCP 1995): the mesh is uniform in the fractional
@@ -140,7 +142,8 @@ def plan_grid(cell: Cell, kern: SplitKernel, window: WindowTable,
 
 
 # Stencil nodes expanded at a time: the flat indices and weight products of
-# one chunk of particles, whatever N and P.
+# one chunk of particles, whatever N and P.  It also sets the block of
+# particles whose window factors are evaluated together (_window_factors).
 CHUNK_NODES = 2**14
 
 
@@ -155,7 +158,8 @@ class SpectralDensity:
     (3 x P x N) the window at its P nodes along each axis, and ``offsets``
     (3 x N) the fractional offsets that set the window.
     ``cell`` and ``spec`` are the configuration's cell and plan.  Every
-    gather of the configuration goes through this one stencil.
+    gather of the configuration goes through this one stencil, expanded a
+    chunk at a time (_chunks).
     """
 
     values: np.ndarray
@@ -183,12 +187,13 @@ class SpectralDensity:
         """sum over the stencil of field(r_g) grad_j W(r_j - r_g) (N x 3).
 
         The window comes from the stored factors and its gradient from the
-        offsets; the P^3 weight products are never formed for the gradient.
+        offsets, evaluated a block at a time (_window_factors); the P^3
+        weight products are never formed for the gradient.
         The gradient in grid units u = M s maps to Cartesian through
         du/dr = diag(M) h^-1.
         """
         spec, P = self.spec, self.spec.P
-        dw = _by_particle(spec.window(self.offsets, derivative=1))
+        dw = _window_factors(spec.window, self.offsets, derivative=1)
         values = field.reshape(-1)
         out = np.empty((3, self.first.shape[1]))
         for part, flat, (wx, wy, wz) in _chunks(self.first, self.factors, spec):
@@ -214,19 +219,33 @@ def _window_weights(sys: ParticleSystem, spec: GridSpec):
     t_j = P/2 - 1 - j + f from the particle, with f = frac(u - P/2), so the
     window table gives all P weights from f.  Returns the base nodes first
     mod M (3 x N), the window factors W(t_j) (3 x P x N) and the offsets f
-    (3 x N), particles running fastest.
+    (3 x N), particles running fastest; the factors are filled a block at
+    a time (_window_factors).
     """
     P, M = spec.P, np.asarray(spec.M)[:, None]
     a = sys.cell.fractional(sys.positions).T * M - P / 2.0
     below = np.floor(a)
     offsets = a - below
     first = np.mod(below.astype(np.int64) + 1, M)
-    return first, _by_particle(spec.window(offsets)), offsets
+    return first, _window_factors(spec.window, offsets), offsets
 
 
-def _by_particle(a: np.ndarray) -> np.ndarray:
-    """A 3 x N x P window array as 3 x P x N, particles running fastest."""
-    return np.ascontiguousarray(np.swapaxes(a, 1, 2))
+def _window_factors(window: WindowTable, offsets: np.ndarray,
+                    derivative: int = 0) -> np.ndarray:
+    """W (or dW/dt) at the P nodes of offsets f (3 x N) as 3 x P x N.
+
+    The window is evaluated one block of particles at a time and written
+    into place.  A block's Chebyshev-Vandermonde matrix, one row of terms
+    per offset, holds at most 3 CHUNK_NODES values whatever N, P and the
+    bandwidth.
+    """
+    P, n = window.P, offsets.shape[1]
+    out = np.empty((3, P, n))
+    step = CHUNK_NODES // len(window.value)
+    for start in range(0, n, step):
+        part = slice(start, start + step)
+        out[:, :, part] = np.swapaxes(window(offsets[:, part], derivative), 1, 2)
+    return out
 
 
 def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
@@ -236,17 +255,17 @@ def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
     Particles run along the last axis, so the broadcasts that expand the
     stencil run over whole chunks rather than over P nodes at a time.  A
     chunk holds at most CHUNK_NODES stencil nodes (at least one particle),
-    so the expanded stencil stays bounded as N and P grow.
+    and its per-axis index terms (3 x P x n) are built with it, so the
+    expanded stencil stays bounded as N and P grow.
     """
-    P, M = spec.P, np.asarray(spec.M)
-    # Node j along axis d of each particle, as its term of the flat index.
-    strides = np.array([M[1] * M[2], M[2], 1])
-    axes = (np.mod(first[:, None, :] + np.arange(P)[:, None], M[:, None, None])
-            * strides[:, None, None])
+    P, M = spec.P, np.asarray(spec.M)[:, None, None]
+    strides = np.array([spec.M[1] * spec.M[2], spec.M[2], 1])[:, None, None]
+    nodes = np.arange(P)[:, None]
     step = max(1, CHUNK_NODES // P**3)
     for start in range(0, first.shape[1], step):
         part = slice(start, start + step)
-        a = axes[:, :, part]
+        # Node j along axis d of each particle, as its term of the flat index.
+        a = np.mod(first[:, None, part] + nodes, M) * strides
         flat = a[0, :, None, None] + a[1, None, :, None] + a[2, None, None, :]
         yield part, flat.reshape(P**3, -1), factors[:, :, part]
 

@@ -16,9 +16,10 @@ polynomial of degree m in u = 2x^2 - 1, and PswfBasis.psi_and_slope reads
 the pair from one Chebyshev table of m + 1 terms in u.  The rescaled
 spreading window, which the mesh evaluates P times per particle and axis,
 is served by a WindowTable: one Chebyshev column per stencil node in the
-particle's fractional offset, so all P values come from one row of a
-Chebyshev-Vandermonde matrix times the table, with no search and no branch
-on the argument.
+particle's fractional offset, so all P values of a particle come from its
+row of a Chebyshev-Vandermonde matrix times the table, with no search and
+no branch on the argument.  The matrix has one row per offset it is given;
+the mesh passes the offsets one block at a time (mesh._window_factors).
 """
 
 from __future__ import annotations

@@ -36,23 +36,37 @@ class ShortRangeResult:
 class PairTable:
     """Near-field kernel and force weight from one uniform cubic table on [0, r_c].
 
-    Row k of ``coeffs`` holds the cubic pieces of far_field and fn_weight on
-    [k h, (k + 1) h], h = r_c / PAIR_TABLE_INTERVALS, highest power first.
-    Both are smooth, so only they are tabulated; the 1/r singularity of the
-    near field N(r) = 1/r - far_field(r) is added back exactly.
+    Column k of ``coeffs`` holds the cubic pieces of far_field (rows 0-3)
+    and fn_weight (rows 4-7) on [k h, (k + 1) h], h = r_c /
+    PAIR_TABLE_INTERVALS, highest power first.  Both are smooth, so only
+    they are tabulated; the 1/r singularity of the near field
+    N(r) = 1/r - far_field(r) is added back exactly.
     """
 
     r_c: float
-    coeffs: np.ndarray  # (PAIR_TABLE_INTERVALS, 8): far_field then fn_weight
+    coeffs: np.ndarray  # (8, PAIR_TABLE_INTERVALS): far_field then fn_weight
 
     def eval(self, r):
-        """N(r) and F_N(r) for float arrays 0 < r <= r_c; row k = int(r/h)."""
+        """N(r) and F_N(r) for float arrays 0 < r <= r_c; column k = int(r/h).
+
+        Horner's rule runs in place on one contiguous take of a coefficient
+        row at a time: a call holds a few arrays the size of r, never the
+        eight coefficients of every pair.
+        """
         n = PAIR_TABLE_INTERVALS
         k = np.minimum((r * (n / self.r_c)).astype(np.intp), n - 1)
-        t = (r - k * (self.r_c / n))[..., None]
-        c = self.coeffs.reshape(-1, 2, 4).take(k, axis=0)
-        p = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
-        return 1.0 / r - p[..., 0], p[..., 1]
+        t = r - k * (self.r_c / n)
+
+        def horner(rows):
+            p = rows[0].take(k)
+            for row in rows[1:]:
+                p *= t
+                p += row.take(k)
+            return p
+
+        near = 1.0 / r
+        near -= horner(self.coeffs[:4])
+        return near, horner(self.coeffs[4:])
 
 
 def build_pair_table(kern: SplitKernel) -> PairTable:
@@ -66,8 +80,7 @@ def build_pair_table(kern: SplitKernel) -> PairTable:
     far = CubicSpline(knots, far_field(kern, knots)).c
     # F_N(0) = 1 is a limit; fn_weight takes r > 0 only.
     fn = CubicSpline(knots, fn_weight(kern, np.maximum(knots, 1e-300))).c
-    return PairTable(r_c=kern.r_c,
-                     coeffs=np.ascontiguousarray(np.vstack([far, fn]).T))
+    return PairTable(r_c=kern.r_c, coeffs=np.vstack([far, fn]))
 
 
 def _add_pair_forces(forces: np.ndarray, i, j, fmag, dr) -> None:

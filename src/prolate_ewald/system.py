@@ -66,13 +66,30 @@ class Cell:
         """A copy with the rows outside the cell mapped into it.
 
         Rows whose fractional coordinates already lie in [0, 1) are left
-        bit for bit, so wrapping wrapped positions moves nothing.
+        bit for bit.  The others map to s - floor(s), with a coordinate that
+        rounds up to 1 (s a tiny negative number) set to 0.  h^-1 h is the
+        identity only to roundoff, so a row mapped onto a face can still
+        read just outside it; such a row is stepped into the cell along
+        that face's cell vector, which moves no other fractional coordinate.
+        Mapped rows then lie in [0, 1) too, and wrapping again moves nothing.
         """
         pos = np.array(positions, dtype=float)
         s = self.fractional(pos)
         out = np.any((s < 0.0) | (s >= 1.0), axis=1)
         if out.any():
-            pos[out] = self.cartesian(s[out] - np.floor(s[out]))
+            inside = s[out]
+            inside -= np.floor(inside)
+            inside[inside == 1.0] = 0.0
+            moved = self.cartesian(inside)
+            step = 4.0 * np.finfo(float).eps    # doubled until the row moves
+            for _ in range(8):
+                f = self.fractional(moved)
+                shift = (f < 0.0).astype(float) - (f >= 1.0)
+                if not shift.any():
+                    break
+                moved += (step * shift) @ self.h.T
+                step *= 2.0
+            pos[out] = moved
         return pos
 
 
@@ -82,7 +99,11 @@ def minimum_image(cell: Cell, dr: np.ndarray) -> np.ndarray:
     dr = np.asarray(dr, dtype=float)
     if cell.is_orthorhombic:
         lengths = cell.h.diagonal()
-        return dr - lengths * np.floor(dr / lengths + 0.5)
+        shift = dr / lengths
+        shift += 0.5
+        np.floor(shift, out=shift)
+        shift *= lengths
+        return dr - shift
     s = cell.fractional(dr)
     s -= np.floor(s + 0.5)
     return cell.cartesian(s)

@@ -583,3 +583,102 @@ class TestOneStencil:
         far = (4 * solver.spec.n_grid * 16 + 6 * 3 * n * solver.spec.P * 8
                + 4 * mesh.CHUNK_NODES * 8)
         assert peak < max(near, far)
+
+
+def one_shot_factors(window, offsets, derivative=0):
+    """The window at all offsets from one Chebyshev-Vandermonde matrix."""
+    return np.ascontiguousarray(np.swapaxes(window(offsets, derivative), 1, 2))
+
+
+class TestWindowBlocks:
+    # The window factors are evaluated a block of particles at a time; the
+    # blocked stencil equals the one-shot evaluation bit for bit.
+    delta, r_c = 1e-4, 2.0
+
+    def block(self):
+        return mesh.CHUNK_NODES // len(window_for(self.delta).value)
+
+    def system(self, n, seed):
+        length = (n / 4.0) ** (1.0 / 3.0)
+        return random_neutral_system(n, [length] * 3, seed=seed)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_blocked_factors_equal_one_shot(self, extra):
+        n = self.block() + extra
+        sys = self.system(n, seed=20 + extra)
+        spec = plan_grid(sys.cell, kernel_for(self.delta, self.r_c),
+                         window_for(self.delta))
+        _, factors, offsets = mesh._window_weights(sys, spec)
+        assert factors.shape == (3, spec.P, n)
+        for derivative, blocked in ((0, factors),
+                                    (1, mesh._window_factors(spec.window, offsets, 1))):
+            want = one_shot_factors(spec.window, offsets, derivative)
+            np.testing.assert_array_equal(blocked.view(np.uint64),
+                                          want.view(np.uint64))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_gather_gradient_and_evaluate_equal_one_shot(self, extra, monkeypatch):
+        sys = self.system(self.block() + extra, seed=30 + extra)
+        spec = plan_grid(sys.cell, kernel_for(self.delta, self.r_c),
+                         window_for(self.delta))
+        field = np.random.default_rng(extra + 2).standard_normal(spec.M)
+
+        def outputs():
+            rho = forward_density(sys, spec, TransformProvider())
+            out = [rho.gather_gradient(field)]
+            for mode in ("ik", "analytic"):
+                e = CoulombSolver(sys.cell, EwaldParameters(
+                    r_c=self.r_c, delta_split=self.delta,
+                    force_mode=mode)).evaluate(sys)
+                out += [np.array(e.energy), e.forces, e.pressure]
+            return out
+
+        blocked = outputs()
+        monkeypatch.setattr(mesh, "_window_factors", one_shot_factors)
+        for got, want in zip(blocked, outputs()):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("op", ["ik", "analytic", "local_pressure"])
+    def test_no_vandermonde_spans_all_particles(self, op, monkeypatch):
+        # Every Chebyshev-Vandermonde matrix built in one evaluation, the
+        # window's value or derivative, covers at most one block of offsets.
+        n = 4 * self.block() + 3
+        sys = self.system(n, seed=40)
+        solver = CoulombSolver(sys.cell, EwaldParameters(
+            r_c=self.r_c, delta_split=self.delta,
+            force_mode="ik" if op == "local_pressure" else op))
+        rows = []
+        chebvander = np.polynomial.chebyshev.chebvander
+
+        def spy(x, deg):
+            rows.append(np.size(x))
+            return chebvander(x, deg)
+
+        monkeypatch.setattr(np.polynomial.chebyshev, "chebvander", spy)
+        if op == "local_pressure":
+            solver.local_pressure(sys)
+        else:
+            solver.evaluate(sys)
+        passes = 2 if op == "analytic" else 1     # value, and the derivative
+        assert len(rows) >= passes * n // self.block()
+        assert max(rows) <= 3 * self.block()
+
+    def test_gather_memory_independent_of_n(self):
+        # A gather pass builds its index terms, flat indices, taken values
+        # and weight products for one chunk of at most CHUNK_NODES nodes at
+        # a time: 4.3 arrays of CHUNK_NODES doubles at its peak, whatever
+        # N.  Index terms built for all N particles up front (two arrays of
+        # 3 x P x N integers, 4.8 MB here) cross the bound of eight.
+        sys = self.system(20000, seed=50)
+        spec = plan_grid(sys.cell, kernel_for(self.delta, self.r_c),
+                         window_for(self.delta))
+        rho = forward_density(sys, spec, TransformProvider())
+        fields = np.random.default_rng(3).standard_normal((3,) + spec.M)
+        rho.gather(fields)
+        tracemalloc.start()
+        try:
+            out = rho.gather(fields)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 8 * mesh.CHUNK_NODES * 8

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from prolate_ewald.kernel import SplitKernel, fn_weight, near_field
-from prolate_ewald.realspace import (SingularPairError, build_pair_table,
-                                     short_range)
+from prolate_ewald.realspace import (PAIR_TABLE_INTERVALS, SingularPairError,
+                                     build_pair_table, short_range)
 from prolate_ewald.system import (Cell, NeighborList, ParticleSystem,
                                   build_cell_list, chunk_length,
                                   minimum_image)
@@ -103,6 +103,37 @@ class TestBuildPairTable:
         assert np.max(np.abs(table.eval(r)[1] - fn_weight(kern, r))) < 1e-10
         for kern, table, r in table_cases():
             assert np.max(np.abs(table.eval(r)[1] - fn_weight(kern, r))) < 1e-12
+
+
+    def test_knots_midpoints_and_cutoff(self):
+        # At every knot r = k h, every interval midpoint and r = r_c, with
+        # the bounds of the two tests above.
+        for kern, table, _ in table_cases():
+            h = kern.r_c / PAIR_TABLE_INTERVALS
+            k = np.arange(1, PAIR_TABLE_INTERVALS + 1)
+            r = np.concatenate([k * h, (k - 0.5) * h, [kern.r_c]])
+            near, fn = table.eval(r)
+            want = near_field(kern, r)
+            scale = np.maximum(np.abs(want),
+                               np.abs(near_field(kern, kern.r_c / 2)))
+            assert np.max(np.abs(near - want) / scale) < 1e-12
+            assert np.max(np.abs(fn - fn_weight(kern, r))) < 1e-12
+
+    def test_matches_gathered_rows(self):
+        # The per-row Horner pass keeps the order of operations of a gather
+        # of each interval's eight coefficients, so results are bitwise equal.
+        kern = kernel_for(1e-6, 2.0)
+        table = build_pair_table(kern)
+        r = np.random.default_rng(4).uniform(1e-6, kern.r_c, 50_000)
+        k = np.minimum((r * (PAIR_TABLE_INTERVALS / kern.r_c)).astype(np.intp),
+                       PAIR_TABLE_INTERVALS - 1)
+        t = (r - k * (kern.r_c / PAIR_TABLE_INTERVALS))[:, None]
+        c = table.coeffs.T.reshape(-1, 2, 4)[k]
+        p = ((c[..., 0] * t + c[..., 1]) * t + c[..., 2]) * t + c[..., 3]
+        near, fn = table.eval(r)
+        np.testing.assert_array_equal(near.view(np.uint64),
+                                      (1.0 / r - p[:, 0]).view(np.uint64))
+        np.testing.assert_array_equal(fn.view(np.uint64), p[:, 1].view(np.uint64))
 
 
 class TestShortRangePair:

@@ -134,6 +134,53 @@ class TestParticleSystem:
         once = cell.wrap(pos)
         np.testing.assert_allclose(cell.wrap(once), once, atol=1e-12)
 
+    # Fractional coordinates on the cell faces: a tiny negative number, whose
+    # s - floor(s) rounds up to 1, negative zero, 1 - 1e-17 (which rounds to
+    # 1) and 1, each combined with the others and with interior values.
+    FACES = np.array(list(itertools.product(
+        (-1e-17, -0.0, 1 - 1e-17, 1.0, 0.3, 0.5), repeat=3)))
+
+    @pytest.mark.parametrize("h", [
+        np.diag([7.5, 7.5, 7.5]),
+        np.array([[7.5, 1.9, 0.3], [0.0, 7.1, 0.8], [0.0, 0.0, 6.9]])],
+        ids=["cubic", "sheared"])
+    def test_wrap_on_faces(self, h):
+        cell = Cell(h=h)
+        for pos in (cell.cartesian(self.FACES), 7.5 * self.FACES):
+            once = cell.wrap(pos)
+            s = cell.fractional(once)
+            assert np.all(s >= 0.0) and np.all(s < 1.0)
+            np.testing.assert_array_equal(cell.wrap(once), once)
+        # A tiny negative coordinate maps to the low face, not the high one.
+        s = cell.fractional(cell.wrap(cell.cartesian([[-1e-17, 0.5, 0.5]])))
+        assert s[0, 0] < 1e-15
+        if cell.is_orthorhombic:
+            np.testing.assert_array_equal(cell.wrap([[-1e-17, 1.0, 1.0]]),
+                                          [[0.0, 1.0, 1.0]])
+
+    def test_wrap_near_faces_random_cells(self):
+        # Rows within a few roundoffs of a face, where the round trip
+        # h (h^-1 r) lands just outside the cell, in random cells.
+        rng = np.random.default_rng(8)
+        near = (-1e-17, -1.3e-16, -2**-54, -0.0, 1 - 2**-53, 1.0, 1 + 2**-52)
+        for trial in range(40):
+            h = np.diag(rng.uniform(1.0, 20.0, 3))
+            if trial % 2:
+                h += np.triu(rng.uniform(-2.0, 2.0, (3, 3)), 1)
+            cell = Cell(h=h)
+            s = rng.uniform(0.0, 1.0, (500, 3))
+            for d in range(3):
+                pick = rng.random(500) < 0.5
+                s[pick, d] = rng.choice(near, pick.sum())
+            pos = cell.cartesian(s)
+            once = cell.wrap(pos)
+            f = cell.fractional(once)
+            assert np.all(f >= 0.0) and np.all(f < 1.0)
+            np.testing.assert_array_equal(cell.wrap(once), once)
+            kept = np.all((cell.fractional(pos) >= 0.0)
+                          & (cell.fractional(pos) < 1.0), axis=1)
+            np.testing.assert_array_equal(once[kept], pos[kept])
+
     @pytest.mark.parametrize("h", [
         np.diag([7.5, 7.5, 7.5]),
         np.array([[7.5, 1.9, 0.3], [0.0, 7.1, 0.8], [0.0, 0.0, 6.9]])],
