@@ -122,8 +122,6 @@ def background_correction(kern: SplitKernel, q_total: float, volume: float):
     U_bb the background self-energy, and P_corr the 3x3 (isotropic) pressure
     correction.  All are zero for a neutral system; none contribute forces.
     """
-    if volume <= 0.0:
-        raise KernelError("volume must be positive")
     if q_total == 0.0:
         return 0.0, 0.0, np.zeros((3, 3))
     j = background_integral(kern)

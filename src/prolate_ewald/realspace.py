@@ -83,51 +83,57 @@ def build_pair_table(kern: SplitKernel) -> PairTable:
     return PairTable(r_c=kern.r_c, coeffs=np.vstack([far, fn]))
 
 
-def _add_pair_forces(forces: np.ndarray, i, j, fmag, dr) -> None:
-    """forces[i] += fmag dr and forces[j] -= fmag dr, summed per axis."""
-    n = forces.shape[0]
-    for a in range(3):
-        w = fmag * dr[:, a]
-        forces[:, a] += np.bincount(i, w, minlength=n) - np.bincount(j, w, minlength=n)
-
-
 def pair_sums(sys: ParticleSystem, neighbors: NeighborList, cutoff: float,
               terms) -> list:
     """One ShortRangeResult per pair term, from one pass over the pairs.
 
     A term maps (i, j, r^2) of listed pairs within ``cutoff`` to energies u
     and force weights f: force_i = sum_j f dr_ij, P = (1/V) sum f dr (x) dr,
-    with dr = r_i - r_j (minimum image).  Pairs go through in chunks of
-    chunk_length(N), so temporaries stay bounded; each chunk is gathered,
-    imaged and masked once for all terms.
+    with dr = r_i - r_j (minimum image).  Pairs come from neighbors.pairs in
+    chunks of at most chunk_length(N), so temporaries stay bounded; each
+    chunk is gathered, imaged and masked once for all terms.  The pass is
+    coordinate-major: dr is 3 x n, gathered from the rows of positions^T,
+    and forces add up 3 x N, one bincount per axis for each end of a pair.
     """
     n = sys.n
-    sums = [[0.0, np.zeros((n, 3)), np.zeros((3, 3))] for _ in terms]
+    pos = np.ascontiguousarray(sys.positions.T)
+    sums = [[0.0, np.zeros((3, n)), np.zeros((3, 3))] for _ in terms]
     count = 0
-    step = chunk_length(n)
-    for start in range(0, neighbors.n_pairs, step):
-        i = neighbors.i[start:start + step]
-        j = neighbors.j[start:start + step]
-        dr = minimum_image(sys.cell, sys.positions.take(i, axis=0)
-                           - sys.positions.take(j, axis=0))
-        r2 = np.einsum("ij,ij->i", dr, dr)
-        if np.any(r2 < (1e-12 * cutoff) ** 2):
-            bad = int(np.argmin(r2))
-            raise SingularPairError(f"coincident particles {i[bad]} and {j[bad]} "
-                                    f"(r={np.sqrt(r2[bad]):.3e})")
-        within = r2 <= cutoff * cutoff
-        if not within.all():
-            i, j, dr, r2 = i[within], j[within], dr[within], r2[within]
-        for acc, term in zip(sums, terms):
-            u, fmag = term(i, j, r2)
-            acc[0] += float(np.sum(u))
-            _add_pair_forces(acc[1], i, j, fmag, dr)
-            acc[2] += (dr.T * fmag) @ dr
-        count += r2.size
-
-    return [ShortRangeResult(energy=e, forces=f, pair_count=count,  # symmetric P
+    for i, j in neighbors.pairs(chunk_length(n)):
+        count += _add_chunk(sums, terms, sys.cell, pos, cutoff, i, j)
+    return [ShortRangeResult(energy=e, forces=f.T, pair_count=count,  # symmetric P
                              pressure=0.5 * (v + v.T) / sys.cell.volume)
             for e, f, v in sums]
+
+
+def _add_chunk(sums, terms, cell, pos, cutoff, i, j) -> int:
+    """Add one chunk of pairs to ``sums``; return how many were within cutoff.
+
+    A function of its own, so that its temporaries are freed before the
+    next chunk is read.
+    """
+    dr = pos.take(i, axis=1)
+    dr -= pos.take(j, axis=1)
+    # The orthorhombic image keeps the 3 x n layout; the general one is copied.
+    dr = np.ascontiguousarray(minimum_image(cell, dr.T).T)
+    r2 = np.einsum("aj,aj->j", dr, dr)
+    if np.any(r2 < (1e-12 * cutoff) ** 2):
+        bad = int(np.argmin(r2))
+        raise SingularPairError(f"coincident particles {i[bad]} and {j[bad]} "
+                                f"(r={np.sqrt(r2[bad]):.3e})")
+    within = r2 <= cutoff * cutoff
+    if not within.all():
+        i, j, dr, r2 = i[within], j[within], dr[:, within], r2[within]
+    n = pos.shape[1]
+    for acc, term in zip(sums, terms):
+        u, fmag = term(i, j, r2)
+        acc[0] += float(np.sum(u))
+        fdr = dr * fmag
+        for a in range(3):
+            acc[1][a] += np.bincount(i, fdr[a], minlength=n)
+            acc[1][a] -= np.bincount(j, fdr[a], minlength=n)
+        acc[2] += fdr @ dr.T
+    return r2.size
 
 
 def short_range(sys: ParticleSystem, kern: SplitKernel, neighbors: NeighborList,

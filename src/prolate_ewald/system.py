@@ -1,7 +1,7 @@
 """Particle and cell data model: triclinic cells, wrapping, neighbor search.
 
 Every cell is triclinic in general; orthorhombic cells are the diagonal
-special case and differ only in how build_cell_list searches for pairs.
+special case and differ only in how minimum_image is computed.
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ class Cell:
 
 def minimum_image(cell: Cell, dr: np.ndarray) -> np.ndarray:
     """Image of dr with fractional components in [-1/2, 1/2); taken per
-    axis in an orthorhombic cell, the case build_cell_list also singles out."""
+    axis in an orthorhombic cell, where the result keeps the memory layout
+    of dr (the transpose of a 3 x n array comes back as one)."""
     dr = np.asarray(dr, dtype=float)
     if cell.is_orthorhombic:
         lengths = cell.h.diagonal()
@@ -158,9 +159,12 @@ class ParticleSystem:
 
 @dataclass(frozen=True)
 class NeighborList:
-    """Pairs with minimum-image distance <= r_c + skin.
+    """Pairs with minimum-image distance <= r_c + skin, as the trees found them.
 
-    Each unordered pair appears once, with i < j, in an order that is
+    ``inner`` holds the (i, j) rows of pairs inside the cell, ``cross`` the
+    (particle, ghost) pairs across faces (fields i and j, with the distance
+    v), and ``owner`` the particle of each ghost.  pairs(step) reads them as
+    one list: each unordered pair once, with i < j, in an order that is
     deterministic for a given input but not sorted.  The skin lets a list
     outlive its configuration: npt.integrate reuses one list from step to
     step, across cell rescales too, until a pair outside it could have come
@@ -168,14 +172,38 @@ class NeighborList:
     reject a list whose r_c is below it.
     """
 
-    i: np.ndarray
-    j: np.ndarray
+    inner: np.ndarray
+    cross: np.ndarray
+    owner: np.ndarray
     r_c: float
     skin: float
 
     @property
     def n_pairs(self) -> int:
-        return self.i.size
+        return len(self.inner) + len(self.cross)
+
+    def pairs(self, step: int):
+        """Yield (i, j) index arrays of at most ``step`` pairs, i < j.
+
+        Ghosts map to their owners one chunk at a time, and a chunk may
+        take the last in-cell pairs and the first cross-face pairs, so a
+        list of at most ``step`` pairs comes as one chunk.
+        """
+        for start in range(0, self.n_pairs, step):
+            yield self._chunk(start, start + step)
+
+    def _chunk(self, start: int, stop: int):
+        k = len(self.inner)
+        parts = []
+        if start < k:
+            parts.append(self.inner[start:stop].T.copy())   # contiguous i, j
+        if stop > k:
+            rows = self.cross[max(start - k, 0):stop - k]
+            ci, cj = rows["i"], self.owner.take(rows["j"])
+            parts.append((np.minimum(ci, cj), np.maximum(ci, cj)))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(side) for side in zip(*parts))
 
 
 def chunk_length(n: int) -> int:
@@ -211,14 +239,6 @@ def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> Neigh
     """
     reach = r_c + skin
     check_cutoff(sys.cell, reach)
-    if sys.cell.is_orthorhombic:
-        lengths = np.diag(sys.cell.h)
-        pos = np.minimum(sys.positions, np.nextafter(lengths, 0.0))
-        tree = cKDTree(np.maximum(pos, 0.0), boxsize=lengths)
-        pairs = tree.query_pairs(reach, output_type="ndarray")
-        return NeighborList(i=pairs[:, 0], j=pairs[:, 1], r_c=float(r_c),
-                            skin=float(skin))
-
     # Pairs inside the cell (n = 0) come from one tree of the positions.
     # A pair across faces pairs r_i with the ghost r_j + h n of one of the
     # 13 half-shell shifts n (the opposite shift gives the same pair with
@@ -228,17 +248,18 @@ def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> Neigh
     cell = sys.cell
     tree = cKDTree(sys.positions)
     inner = tree.query_pairs(reach, output_type="ndarray")
-    frac = cell.fractional(sys.positions)
-    band = reach / cell.perpendicular_widths()
-    near_low, near_high = frac <= band, frac >= 1.0 - band
-    ghosts = [np.flatnonzero(np.all((n <= 0) | near_low, axis=1)
-                             & np.all((n >= 0) | near_high, axis=1))
-              for n in _HALF_SHELL]
-    owner = np.concatenate(ghosts)
-    shift = np.repeat(_HALF_SHELL @ cell.h.T, [g.size for g in ghosts], axis=0)
-    cross = tree.sparse_distance_matrix(
-        cKDTree(sys.positions[owner] + shift), reach, output_type="ndarray")
-    ci, cj = cross["i"], owner[cross["j"]]
-    i = np.concatenate([inner[:, 0], np.minimum(ci, cj)])
-    j = np.concatenate([inner[:, 1], np.maximum(ci, cj)])
-    return NeighborList(i=i, j=j, r_c=float(r_c), skin=float(skin))
+    frac = cell.fractional(sys.positions).T
+    band = (reach / cell.perpendicular_widths())[:, None]
+    # side[d, n_d + 1, p]: whether a shift n_d along axis d keeps the
+    # ghost of particle p within reach; n_d = 1 needs p near the low face,
+    # n_d = -1 near the high one.  Ghosts come in the order of (shift, p).
+    side = np.stack([frac >= 1.0 - band, np.ones_like(frac, dtype=bool),
+                     frac <= band], axis=1)
+    row = _HALF_SHELL + 1
+    shift, owner = np.divmod(np.flatnonzero(side[0, row[:, 0]] & side[1, row[:, 1]]
+                                            & side[2, row[:, 2]]), sys.n)
+    ghosts = sys.positions[owner] + (_HALF_SHELL @ cell.h.T)[shift]
+    cross = tree.sparse_distance_matrix(cKDTree(ghosts), reach,
+                                        output_type="ndarray")
+    return NeighborList(inner=inner, cross=cross, owner=owner, r_c=float(r_c),
+                        skin=float(skin))

@@ -27,6 +27,18 @@ def window_for(delta, P=None):
     return tabulate_window(basis_for(delta=delta), P or default_order(delta))
 
 
+def listed_pairs(nl, step=1024):
+    """The (i, j) index arrays of a neighbor list, its pairs(step) joined."""
+    chunks = list(nl.pairs(step)) or [(np.zeros(0, int), np.zeros(0, int))]
+    i, j = (np.concatenate(side) for side in zip(*chunks))
+    return i, j
+
+
+def pair_set(nl):
+    """The pairs of a neighbor list as a set of (i, j) tuples."""
+    return set(zip(*(side.tolist() for side in listed_pairs(nl))))
+
+
 def random_neutral_system(n, lengths, seed, charge_style="alternating"):
     rng = np.random.default_rng(seed)
     lengths = np.asarray(lengths, dtype=float)

@@ -12,6 +12,8 @@ from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
 from prolate_ewald.system import (Cell, ParticleSystem, build_cell_list,
                                   minimum_image)
 
+from conftest import pair_set
+
 
 def toy_system(n=32, L=8.0, seed=0, spacing=1.0):
     """Neutral alternating charges on a jittered lattice, unit masses."""
@@ -337,8 +339,7 @@ class TestVerletList:
         def checked(state, reach):
             nl = inner(state, reach)
             fresh = build_cell_list(state.system, reach)
-            have = set(zip(nl.i.tolist(), nl.j.tolist()))
-            seen["missing"] += len(set(zip(fresh.i.tolist(), fresh.j.tolist())) - have)
+            seen["missing"] += len(pair_set(fresh) - pair_set(nl))
             seen["calls"] += 1
             return nl
 
@@ -384,8 +385,7 @@ class TestVerletList:
                                           charges=base.charges)
             nl = npt._neighbors(state, reach)
             fresh = build_cell_list(state.system, reach)
-            missing = (set(zip(fresh.i.tolist(), fresh.j.tolist()))
-                       - set(zip(nl.i.tolist(), nl.j.tolist())))
+            missing = pair_set(fresh) - pair_set(nl)
             assert not missing, (f, missing)
         # 0.99 to 0.85 crosses reach / (reach + skin) = 1 / 1.1 once.
         assert state.neighbor_rebuilds == 2

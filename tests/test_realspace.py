@@ -1,6 +1,7 @@
 """Short-range pair sum: tables, energies, forces, pressure."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from prolate_ewald.kernel import SplitKernel, fn_weight, near_field
 from prolate_ewald.realspace import (PAIR_TABLE_INTERVALS, SingularPairError,
                                      build_pair_table, short_range)
-from prolate_ewald.system import (Cell, NeighborList, ParticleSystem,
+from prolate_ewald.system import (Cell, ParticleSystem,
                                   build_cell_list, chunk_length,
                                   minimum_image)
 
@@ -183,8 +184,8 @@ class TestShortRangePair:
         pos = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         sys = ParticleSystem(cell=cell, positions=pos,
                              charges=np.array([1.0, -1.0]))
-        nb = NeighborList(i=np.array([0]), j=np.array([1]),
-                          r_c=kern.r_c, skin=0.0)
+        nb = build_cell_list(sys, kern.r_c)
+        assert nb.n_pairs == 1
         with pytest.raises(SingularPairError):
             short_range(sys, kern, nb)
 
@@ -225,6 +226,26 @@ class TestShortRangeBulk:
         assert res.energy == pytest.approx(e_ref, abs=1e-12 * max(1, abs(e_ref)))
         np.testing.assert_allclose(res.forces, f_ref, atol=1e-12)
         np.testing.assert_allclose(res.pressure, p_ref, atol=1e-14)
+
+    @pytest.mark.parametrize("r_c", [1.5, 2.5])
+    def test_peak_memory_independent_of_pairs(self, r_c):
+        # build_cell_list keeps its pairs in the arrays scipy's trees return,
+        # which tracemalloc does not see, and short_range reads them one
+        # chunk of chunk_length(N) pairs at a time: together they peak at
+        # 17.0 and 17.2 arrays of chunk_length(N) doubles at 0.57 and 2.6
+        # million pairs.  With the list joined into one numpy array they
+        # read 52 and 206, far above the bound of 24.
+        sys = random_neutral_system(20000, [17.0, 17.0, 17.0], seed=22)
+        kern = kernel_for(1e-4, r_c)
+        table = build_pair_table(kern)
+        short_range(sys, kern, build_cell_list(sys, r_c), table=table)
+        tracemalloc.start()
+        try:
+            short_range(sys, kern, build_cell_list(sys, r_c), table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * chunk_length(sys.n) * 8
 
     def test_newtons_third_law(self, basis_c10):
         kern = SplitKernel(basis=basis_c10, r_c=1.5)

@@ -6,10 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prolate_ewald.system import (Cell, CellError, GeometryError,
                                   ParticleSystem, build_cell_list,
                                   check_cutoff, minimum_image)
+
+from conftest import listed_pairs, pair_set
 
 
 def brute_force_pairs(sys, r_c):
@@ -238,8 +242,8 @@ class TestBuildCellList:
         sys = ParticleSystem(cell=cell,
                              positions=[[1.0, 1.0, 1.0], [1.5, 1.0, 1.0]],
                              charges=[1.0, -1.0])
-        nl = build_cell_list(sys, 1.0)
-        assert nl.i.tolist() == [0] and nl.j.tolist() == [1]
+        i, j = listed_pairs(build_cell_list(sys, 1.0))
+        assert i.tolist() == [0] and j.tolist() == [1]
 
     def test_no_pair_beyond_cutoff(self):
         cell = Cell.orthorhombic([10.0, 10.0, 10.0])
@@ -254,7 +258,7 @@ class TestBuildCellList:
                              positions=rng.uniform(0, 8, (200, 3)),
                              charges=np.ones(200))
         nl = build_cell_list(sys, 2.0)
-        got = set(zip(nl.i.tolist(), nl.j.tolist()))
+        got = pair_set(nl)
         assert got == brute_force_pairs(sys, 2.0)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -267,7 +271,7 @@ class TestBuildCellList:
                              charges=np.ones(n))
         r_c = rng.uniform(1.0, 2.2)
         nl = build_cell_list(sys, r_c)
-        got = set(zip(nl.i.tolist(), nl.j.tolist()))
+        got = pair_set(nl)
         assert got == brute_force_pairs(sys, r_c)
 
     def test_triclinic_fallback_against_all_pairs(self):
@@ -278,7 +282,7 @@ class TestBuildCellList:
         pos = (rng.uniform(0, 1, (60, 3)) @ h.T)
         sys = ParticleSystem(cell=cell, positions=pos, charges=np.ones(60))
         nl = build_cell_list(sys, 1.8)
-        got = set(zip(nl.i.tolist(), nl.j.tolist()))
+        got = pair_set(nl)
         assert got == brute_force_pairs(sys, 1.8)
 
     @pytest.mark.parametrize("h, reach_of_width", [
@@ -305,13 +309,14 @@ class TestBuildCellList:
             reach = reach_of_width * np.min(cell.perpendicular_widths())
             r_c, skin = 0.8 * reach, 0.2 * reach
         nl = build_cell_list(sys, r_c, skin)
-        assert nl.n_pairs > 0 and np.all(nl.i < nl.j)
-        got = set(zip(nl.i.tolist(), nl.j.tolist()))
+        i, j = listed_pairs(nl)
+        assert nl.n_pairs > 0 and np.all(i < j)
+        got = pair_set(nl)
         assert len(got) == nl.n_pairs
         assert got == brute_force_pairs(sys, r_c + skin)
-        again = build_cell_list(sys, r_c, skin)
-        np.testing.assert_array_equal(again.i, nl.i)
-        np.testing.assert_array_equal(again.j, nl.j)
+        again = listed_pairs(build_cell_list(sys, r_c, skin))
+        np.testing.assert_array_equal(again[0], i)
+        np.testing.assert_array_equal(again[1], j)
 
     def test_cutoff_too_large(self):
         cell = Cell.orthorhombic([4.0, 10.0, 10.0])
@@ -333,3 +338,83 @@ class TestBuildCellList:
         build_cell_list(sys, 0.9 * half, skin=0.09 * half)
         with pytest.raises(GeometryError):
             build_cell_list(sys, 0.9 * half, skin=0.15 * half)
+
+
+class TestNeighborListPairs:
+    @staticmethod
+    def system(h, n, seed):
+        cell = Cell(h=np.asarray(h, dtype=float))
+        pos = np.random.default_rng(seed).uniform(0, 1, (n, 3)) @ cell.h.T
+        return ParticleSystem(cell=cell, positions=pos, charges=np.ones(n))
+
+    @pytest.mark.parametrize("h", [np.diag([6.0, 6.0, 6.0]),
+                                   [[6.0, 2.0, -1.5], [0.0, 6.5, 1.0],
+                                    [0.0, 0.0, 7.0]]],
+                             ids=["cubic", "sheared"])
+    def test_chunk_boundaries(self, h):
+        # Steps k - 1, k and k + 1 put a chunk boundary just before, on and
+        # just after the join of the k in-cell pairs and the cross-face
+        # pairs; steps 1 and 7 put many on either side of it.  A list of at
+        # most step pairs comes as one chunk.
+        sys = self.system(h, 60, seed=30)
+        nl = build_cell_list(sys, 1.9)
+        k = len(nl.inner)
+        assert 2 <= k < nl.n_pairs
+        expected = brute_force_pairs(sys, 1.9)
+        whole = listed_pairs(nl, nl.n_pairs)
+        for step in (1, 7, k - 1, k, k + 1, nl.n_pairs, nl.n_pairs + 5):
+            chunks = list(nl.pairs(step))
+            assert all(0 < i.size == j.size <= step for i, j in chunks)
+            assert len(chunks) == -(-nl.n_pairs // step)   # ceil(n_pairs / step)
+            i, j = (np.concatenate(side) for side in zip(*chunks))
+            assert np.all(i < j)
+            assert i.size == nl.n_pairs == len(expected)
+            assert set(zip(i.tolist(), j.tolist())) == expected
+            np.testing.assert_array_equal(i, whole[0])
+            np.testing.assert_array_equal(j, whole[1])
+            again = listed_pairs(build_cell_list(sys, 1.9), step)
+            np.testing.assert_array_equal(again[0], i)
+            np.testing.assert_array_equal(again[1], j)
+
+
+# Cells for the search property: diagonal lengths in [5, 8] and, per shape,
+# no off-diagonals, upper ones up to 0.2 of the mean length, or all six up
+# to 0.45 of it.
+SHAPES = {"orthorhombic": 0.0, "triclinic": 0.2, "skewed": 0.45}
+FACE = np.nextafter(1.0, 0.0)    # the last fractional coordinate below 1
+fractions = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                      st.sampled_from([0.0, FACE]))
+
+
+class TestSearchProperty:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from(sorted(SHAPES)),
+           lengths=st.lists(st.floats(5.0, 8.0), min_size=3, max_size=3),
+           off=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           frac=st.integers(1, 60).flatmap(lambda n: st.lists(
+               st.tuples(fractions, fractions, fractions), min_size=n, max_size=n)),
+           reach_of_width=st.one_of(st.floats(0.01, 0.499), st.just(0.499)),
+           skin_share=st.sampled_from([0.0, 0.25]))
+    def test_matches_brute_force(self, shape, lengths, off, frac,
+                                 reach_of_width, skin_share):
+        # Every pair within reach once, with i < j, and nothing beyond it:
+        # from 1 to 60 particles, some on the faces (fractional 0 or FACE),
+        # and a reach up to 0.499 of the narrowest width.
+        h = np.diag(lengths)
+        upper = np.triu_indices(3, 1)
+        skew = SHAPES[shape] * np.mean(lengths) * np.asarray(off)
+        h[upper] = skew[:3]
+        if shape == "skewed":
+            h[upper[::-1]] = skew[3:]
+        assume(np.linalg.det(h) > 0.1 * np.prod(lengths))
+        cell = Cell(h=h)
+        sys = ParticleSystem(cell=cell, positions=cell.cartesian(np.array(frac)),
+                             charges=np.ones(len(frac)))
+        reach = reach_of_width * np.min(cell.perpendicular_widths())
+        r_c, skin = (1.0 - skin_share) * reach, skin_share * reach
+        nl = build_cell_list(sys, r_c, skin)
+        i, j = listed_pairs(nl, 16)
+        assert np.all(i < j) and i.size == nl.n_pairs
+        got = set(zip(i.tolist(), j.tolist()))
+        assert len(got) == nl.n_pairs
+        assert got == brute_force_pairs(sys, r_c + skin)
