@@ -2,13 +2,16 @@
 
 The pipeline is: build the stencil of the configuration once (for every
 particle the base node and the separable prolate window factors along each
-axis), spread charges through it onto a uniform mesh, take one real-to-
-complex forward FFT, apply diagonal (mode-by-mode) scaling on the half
-spectrum, and either reduce over modes (energy, global pressure: no inverse
-transform) or run one stacked inverse FFT of all the fields needed and
-gather through the same stencil (forces, per-particle pressure).
-forward_density returns the Fourier coefficients together with the stencil,
-so each configuration builds it exactly once.  Only the O(N P) stencil is
+axis, with the particles ordered by base node), spread charges through it
+onto a uniform mesh, take one real-to-complex forward FFT, apply diagonal
+(mode-by-mode) scaling to the retained modes of the half spectrum, and
+either reduce over modes (energy, global pressure: no inverse transform) or
+run one stacked inverse FFT of all the fields needed, pruned to the lines
+the retained modes reach, and gather through the same stencil (forces,
+per-particle pressure).  forward_density returns the Fourier coefficients
+together with the stencil, so each configuration builds it exactly once
+and sorts it once: neighbouring particles in the stencil read neighbouring
+grid nodes in the spread and in every gather.  Only the O(N P) stencil is
 stored; a pass allocates one block of the window's Chebyshev-Vandermonde
 matrix (at most 3 CHUNK_NODES values) and one chunk of index terms, flat
 indices and weight products (at most CHUNK_NODES nodes), so memory stays
@@ -24,6 +27,9 @@ f_hat(k) = int f(r) exp(-i k r) dr,  f(r) = (1/V) sum_k f_hat(k) exp(i k r).
 Grid arrays relate by f_hat(k_m) = (V / prod M) * fftn(f)[m] (trapezoidal,
 exact for band-limited fields up to aliasing); a real f keeps the modes
 0 <= m_3 <= M_3/2 of rfftn, the others being their complex conjugates.
+An inverse-transformed field, times V / prod M, is the inverse transform
+over V / prod M (1/V convention); the trapezoidal gather weighs it by
+V / prod M, so neither factor is applied.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ class TransformProvider:
 
     ``forward`` maps a real grid to its (unnormalized) DFT coefficients on
     the half spectrum M_1 x M_2 x (M_3/2 + 1); ``inverse`` is its exact
-    inverse, applied to a stack of half spectra over the last three axes
-    in one call, given the grid counts ``shape``.  Counters make transform
+    inverse, applied in one call to a stack of coefficients of the retained
+    modes of a ModeWorkspace, zero elsewhere.  Counters make transform
     economy claims testable.
     """
 
@@ -64,9 +70,30 @@ class TransformProvider:
         self.forward_count += 1
         return scipy.fft.rfftn(values)
 
-    def inverse(self, values: np.ndarray, shape: tuple) -> np.ndarray:
+    def inverse(self, coefficients: np.ndarray, modes: ModeWorkspace) -> np.ndarray:
+        """Real grids (F x M) of stacked retained-mode coefficients (F x modes).
+
+        The passes of irfftn run in its own order, each in place on the lines
+        the retained modes |m_d| <= modes.band[d] reach (FFT pruning): along
+        the first grid axis the (m_2, m_3) lines inside the band, along the
+        second the m_3 inside it, then the real transform of every line
+        along the third.  The result is irfftn of the zero-filled half
+        spectrum bit for bit.
+        """
         self.inverse_count += 1
-        return scipy.fft.irfftn(values, s=shape, axes=(-3, -2, -1))
+        (M1, M2, M3), (_, b2, b3) = modes.M, modes.band
+        half = np.zeros((len(coefficients), M1, M2, M3 // 2 + 1), dtype=complex)
+        half.reshape(len(half), -1)[:, modes.flat] = coefficients
+        rows = ([slice(None)] if 2 * b2 + 1 >= M2
+                else [slice(0, b2 + 1), slice(M2 - b2, None)])
+        for r in rows:
+            scipy.fft.ifft(half[:, :, r, :b3 + 1], axis=1, norm="forward",
+                           overwrite_x=True)
+        scipy.fft.ifft(half[..., :b3 + 1], axis=2, norm="forward", overwrite_x=True)
+        fields = scipy.fft.irfft(half, n=M3, norm="forward")
+        # irfftn's own factor: 1 / (M_1 M_2 M_3) rounded through long double.
+        fields *= float(1 / np.longdouble(M1 * M2 * M3))
+        return fields
 
 
 @dataclass(frozen=True)
@@ -153,16 +180,18 @@ class SpectralDensity:
 
     ``values`` holds rho_hat(k_m) with continuum normalization on the half
     spectrum M_1 x M_2 x (M_3/2 + 1) of the real charge grid.  The stencil is
-    kept separable and laid out with particles running fastest: ``first``
-    (3 x N) is every particle's base node, reduced mod M, ``factors``
-    (3 x P x N) the window at its P nodes along each axis, and ``offsets``
-    (3 x N) the fractional offsets that set the window.
-    ``cell`` and ``spec`` are the configuration's cell and plan.  Every
-    gather of the configuration goes through this one stencil, expanded a
-    chunk at a time (_chunks).
+    kept separable, ordered by base node and laid out with particles running
+    fastest: stencil column n is particle ``order[n]``, ``first`` (3 x N) its
+    base node, reduced mod M, ``factors`` (3 x P x N) the window at its P
+    nodes along each axis, and ``offsets`` (3 x N) the fractional offsets
+    that set the window.  ``cell`` and ``spec`` are the configuration's cell
+    and plan.  Every gather of the configuration goes through this one
+    stencil, expanded a chunk at a time (_chunks), and writes each chunk's
+    results to its particles in input order.
     """
 
     values: np.ndarray
+    order: np.ndarray
     first: np.ndarray
     factors: np.ndarray
     offsets: np.ndarray
@@ -179,8 +208,9 @@ class SpectralDensity:
         out = np.empty((len(fields), self.first.shape[1]))
         for part, flat, w in _chunks(self.first, self.factors, self.spec):
             weights = _products(w)
+            rows = self.order[part].astype(np.intp)
             for f, field in enumerate(values):
-                out[f, part] = np.einsum("pn,pn->n", np.take(field, flat), weights)
+                out[f, rows] = np.einsum("pn,pn->n", np.take(field, flat), weights)
         return out
 
     def gather_gradient(self, field: np.ndarray) -> np.ndarray:
@@ -198,14 +228,15 @@ class SpectralDensity:
         out = np.empty((3, self.first.shape[1]))
         for part, flat, (wx, wy, wz) in _chunks(self.first, self.factors, spec):
             dx, dy, dz = dw[:, :, part]
+            rows = self.order[part].astype(np.intp)
             vals = np.take(values, flat).reshape(P, P, P, -1)
             # Contract the z nodes first: with W for the x and y components,
             # with W' for the z component.
             z = np.einsum("abcn,cn->abn", vals, wz)
             z_dz = np.einsum("abcn,cn->abn", vals, dz)
-            out[0, part] = np.einsum("abn,an,bn->n", z, dx, wy)
-            out[1, part] = np.einsum("abn,an,bn->n", z, wx, dy)
-            out[2, part] = np.einsum("abn,an,bn->n", z_dz, wx, wy)
+            out[0, rows] = np.einsum("abn,an,bn->n", z, dx, wy)
+            out[1, rows] = np.einsum("abn,an,bn->n", z, wx, dy)
+            out[2, rows] = np.einsum("abn,an,bn->n", z_dz, wx, wy)
         return out.T @ (np.asarray(spec.M)[:, None] * self.cell.inverse)
 
 
@@ -217,17 +248,22 @@ def _window_weights(sys: ParticleSystem, spec: GridSpec):
     first = floor(u - P/2) + 1: odd P centres the stencil on the nearest
     node, even P on the midpoint of the two nearest.  Node j sits at
     t_j = P/2 - 1 - j + f from the particle, with f = frac(u - P/2), so the
-    window table gives all P weights from f.  Returns the base nodes first
-    mod M (3 x N), the window factors W(t_j) (3 x P x N) and the offsets f
-    (3 x N), particles running fastest; the factors are filled a block at
-    a time (_window_factors).
+    window table gives all P weights from f.  The particles are sorted once,
+    stably, by the flat index of their base node.  Returns that order (N),
+    and in it the base nodes first mod M (3 x N), the window factors W(t_j)
+    (3 x P x N) and the offsets f (3 x N), particles running fastest; the
+    factors are filled a block at a time (_window_factors).  The order and
+    the base nodes are int32, so together they take less memory than int64
+    base nodes alone.
     """
     P, M = spec.P, np.asarray(spec.M)[:, None]
     a = sys.cell.fractional(sys.positions).T * M - P / 2.0
     below = np.floor(a)
-    offsets = a - below
-    first = np.mod(below.astype(np.int64) + 1, M)
-    return first, _window_factors(spec.window, offsets), offsets
+    first = np.mod(below.astype(np.int64) + 1, M).astype(np.int32)
+    order = np.argsort(np.ravel_multi_index(first, spec.M), kind="stable")
+    offsets = np.take(a - below, order, axis=1)
+    return (order.astype(np.int32), first.take(order, axis=1),
+            _window_factors(spec.window, offsets), offsets)
 
 
 def _window_factors(window: WindowTable, offsets: np.ndarray,
@@ -291,11 +327,12 @@ def _deposit(first: np.ndarray, factors: np.ndarray, charges: np.ndarray,
 def forward_density(sys: ParticleSystem, spec: GridSpec,
                     provider: TransformProvider) -> SpectralDensity:
     """Build the stencil, spread and forward-transform (continuum normalized)."""
-    first, factors, offsets = _window_weights(sys, spec)
-    rho = _deposit(first, factors, sys.charges, spec)
+    order, first, factors, offsets = _window_weights(sys, spec)
+    rho = _deposit(first, factors, sys.charges[order], spec)
     rho_hat = provider.forward(rho) * (sys.cell.volume / spec.n_grid)
-    return SpectralDensity(values=rho_hat, first=first, factors=factors,
-                           offsets=offsets, cell=sys.cell, spec=spec)
+    return SpectralDensity(values=rho_hat, order=order, first=first,
+                           factors=factors, offsets=offsets, cell=sys.cell,
+                           spec=spec)
 
 
 def axis_modes(spec: GridSpec):
@@ -323,9 +360,13 @@ class ModeWorkspace:
     m_3 = 0 and Nyquist (2 m_3 = M_3) planes, which hold their own mirror
     images, and twice elsewhere, for the mirror mode -m left out.  Modes
     outside |k| <= kmax are zeroed; the k = 0 mode is always excluded.
-    A guard rejects retained modes where the window transform underflows,
-    which indicates a planning failure rather than a numerical accident.
-    ``axes`` is axis_modes(spec), computed here when not given.
+    ``flat`` holds the flat indices of the retained modes in the half
+    spectrum, through which every reduction reads rho_hat, and ``band`` the
+    largest |m_d| among them along each axis, which bounds the lines the
+    inverse transform works on.  A guard rejects retained modes where the
+    window transform underflows, which indicates a planning failure rather
+    than a numerical accident.  ``axes`` is axis_modes(spec), computed here
+    when not given.
     """
 
     def __init__(self, spec: GridSpec, kern: SplitKernel, cell: Cell,
@@ -341,9 +382,11 @@ class ModeWorkspace:
         k2 = sum(G[d, e] * (1.0 if d == e else 2.0) * grid[d] * grid[e]
                  for d in range(3) for e in range(d, 3) if G[d, e] != 0.0)
         mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
-        self.mask = mask
-        index = np.nonzero(mask)
-        self.kvec = list(B @ np.stack([m[i] for m, i in zip(ms, index)]))
+        self.M, self.flat = spec.M, np.flatnonzero(mask)
+        index = np.unravel_index(self.flat, mask.shape)
+        retained = np.stack([m[i] for m, i in zip(ms, index)])
+        self.band = np.abs(retained).max(axis=1, initial=0).astype(int)
+        self.kvec = list(B @ retained)
         self.k2 = k2[mask]
         self.weight = np.where((index[2] == 0) | (2 * index[2] == spec.M[2]),
                                1.0, 2.0)
@@ -380,7 +423,7 @@ def long_range_energy(rho_hat: SpectralDensity, kern: SplitKernel,
     ``modes.weight``.
     """
     m = modes or ModeWorkspace(spec, kern, cell)
-    amp2 = np.abs(rho_hat.values[m.mask]) ** 2
+    amp2 = np.abs(np.take(rho_hat.values, m.flat)) ** 2
     return float(np.sum(m.weight * m.fhat * m.w_inv2 * amp2) / (2.0 * m.volume))
 
 
@@ -393,26 +436,12 @@ def long_range_pressure(rho_hat: SpectralDensity, kern: SplitKernel,
     rho_hat) suffices.
     """
     m = modes or ModeWorkspace(spec, kern, cell)
-    amp2 = np.abs(rho_hat.values[m.mask]) ** 2
+    amp2 = np.abs(np.take(rho_hat.values, m.flat)) ** 2
     scaled = m.weight * m.w_inv2 * amp2 / (2.0 * m.volume**2)
     out = np.empty((3, 3))
     for (a, b), val in zip(PAIRS, m.pressure_kernel(scaled).sum(axis=1)):
         out[a, b] = out[b, a] = val
     return out
-
-
-def _inverse_field(coefficients: np.ndarray, m: ModeWorkspace, spec: GridSpec,
-                   provider: TransformProvider) -> np.ndarray:
-    """Real grid fields (F x M) of stacked retained-mode coefficients (F x modes).
-
-    One stacked inverse transform of the half spectra gives all F fields.
-    Each field, times V / prod M, is the inverse transform over V / prod M
-    (1/V convention); the trapezoidal gather weighs it by V / prod M, so
-    neither factor is applied.
-    """
-    half = np.zeros((len(coefficients),) + m.mask.shape, dtype=complex)
-    half[:, m.mask] = coefficients
-    return provider.inverse(half, spec.M)
 
 
 def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
@@ -430,13 +459,12 @@ def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
         raise MeshError(f"unknown differentiation mode {mode!r}")
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
-    scale = m.fhat * m.w_inv2 * rho_hat.values[m.mask]
+    scale = m.fhat * m.w_inv2 * np.take(rho_hat.values, m.flat)
 
     if mode == "analytic":
-        fld = _inverse_field(scale[None], m, spec, provider)[0]
+        fld = provider.inverse(scale[None], m)[0]
         return -sys.charges[:, None] * rho_hat.gather_gradient(fld)
-    fields = _inverse_field(np.stack([1j * k * scale for k in m.kvec]),
-                            m, spec, provider)
+    fields = provider.inverse(np.stack([1j * k * scale for k in m.kvec]), m)
     return -(sys.charges * rho_hat.gather(fields)).T
 
 
@@ -453,8 +481,8 @@ def local_pressure(rho_hat: SpectralDensity, sys: ParticleSystem,
     """
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
-    base = m.w_inv2 * rho_hat.values[m.mask] / (2.0 * m.volume)
-    fields = _inverse_field(m.pressure_kernel(base), m, spec, provider)
+    base = m.w_inv2 * np.take(rho_hat.values, m.flat) / (2.0 * m.volume)
+    fields = provider.inverse(m.pressure_kernel(base), m)
     gathered = sys.charges * rho_hat.gather(fields)
 
     out = np.empty((sys.n, 3, 3))

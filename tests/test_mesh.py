@@ -1,5 +1,6 @@
 """Particle-mesh pipeline: planning, spreading, spectral reductions."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -35,8 +37,8 @@ def make_plan(delta, r_c, lengths, P=None, oversampling=2.0):
 
 def spread(sys, spec):
     """The real charge grid that forward_density transforms."""
-    first, factors, _ = mesh._window_weights(sys, spec)
-    return mesh._deposit(first, factors, sys.charges, spec)
+    order, first, factors, _ = mesh._window_weights(sys, spec)
+    return mesh._deposit(first, factors, sys.charges[order], spec)
 
 
 def window_widths(cell, spec):
@@ -224,7 +226,9 @@ class TestTransforms:
         lengths = [5.0, 6.0, np.pi * M3 / (kern.kmax * (1.0 - 1e-13))]
         cell = Cell.orthorhombic(lengths)
         spec = plan_grid(cell, kern, spec.window, fixed_M=(*spec.M[:2], M3))
-        assert np.any(np.nonzero(ModeWorkspace(spec, kern, cell).mask)[2] == M3 // 2)
+        half = (*spec.M[:2], M3 // 2 + 1)
+        assert np.any(np.unravel_index(ModeWorkspace(spec, kern, cell).flat, half)[2]
+                      == M3 // 2)
         sys = random_neutral_system(32, lengths, seed=2)
         rho_hat = forward_density(sys, spec, TransformProvider())
         keep, k, k2, fhat, dterm, w_inv2 = full_spectrum(cell, kern, spec)
@@ -238,6 +242,75 @@ class TestTransforms:
         assert long_range_energy(rho_hat, kern, spec, cell) == pytest.approx(
             energy, rel=1e-12)
         assert np.max(np.abs(got - pressure)) <= 1e-12 * np.max(np.abs(pressure))
+
+
+# Plans for the pruned inverse: retained modes inside |m_d| <= M_d / 4 at
+# oversampling 2, nearly the whole half spectrum at 1, a sheared cell, and
+# odd counts.  (24, 46, 67) is also a grid where 1 / (M_1 M_2 M_3) rounded
+# in double differs from irfftn's factor, rounded through long double.
+INVERSE_PLANS = {
+    "oversampled": (np.diag([6.0, 6.0, 6.0]), 2.0, None),
+    "unit": (np.diag([6.0, 6.0, 6.0]), 1.0, None),
+    "sheared": ([[6.0, 0.8, -0.5], [0.0, 6.2, 0.6], [0.0, 0.0, 5.8]], 2.0, None),
+    "odd": (np.diag([6.0, 6.0, 6.0]), 1.0, (24, 46, 67)),
+}
+
+
+def inverse_plan(name):
+    h, oversampling, fixed_M = INVERSE_PLANS[name]
+    kern = kernel_for(1e-5, 1.2)
+    cell = Cell(h=np.asarray(h, dtype=float))
+    spec = plan_grid(cell, kern, window_for(1e-5), oversampling, fixed_M)
+    return spec, ModeWorkspace(spec, kern, cell)
+
+
+def half_spectra(coefficients, modes):
+    """Stacked zero-filled half spectra holding the retained-mode coefficients."""
+    M1, M2, M3 = modes.M
+    half = np.zeros((len(coefficients), M1, M2, M3 // 2 + 1), dtype=complex)
+    half.reshape(len(half), -1)[:, modes.flat] = coefficients
+    return half
+
+
+class TestPrunedInverse:
+    @pytest.mark.parametrize("fields", [1, 3, 6])
+    @pytest.mark.parametrize("plan", list(INVERSE_PLANS))
+    def test_equals_irfftn(self, plan, fields):
+        spec, modes = inverse_plan(plan)
+        M1, M2, M3 = spec.M
+        _, b2, b3 = modes.band
+        if plan == "oversampled":    # the band leaves most lines empty
+            assert 2 * b2 + 1 < M2 / 1.8 and b3 + 1 < (M3 // 2 + 1) / 1.8
+        rng = np.random.default_rng(fields)
+        shape = (fields, modes.flat.size)
+        coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        provider = TransformProvider()
+        got = provider.inverse(coefficients, modes)
+        want = scipy.fft.irfftn(half_spectra(coefficients, modes), s=spec.M,
+                                axes=(-3, -2, -1))
+        assert provider.inverse_count == 1
+        assert got.shape == (fields,) + spec.M
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory_one_half_spectrum(self):
+        # At oversampling 1 the band covers nearly the whole half spectrum.
+        # The passes run in place on the one stacked half spectrum, which
+        # lives with the real fields it becomes; a second copy of it, or of
+        # its lines inside the band, adds about the whole stack.
+        spec, modes = inverse_plan("unit")
+        rng = np.random.default_rng(7)
+        coefficients = (rng.standard_normal((6, modes.flat.size))
+                        + 1j * rng.standard_normal((6, modes.flat.size)))
+        provider = TransformProvider()
+        provider.inverse(coefficients, modes)
+        tracemalloc.start()
+        try:
+            fields = provider.inverse(coefficients, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        half = half_spectra(coefficients, modes).nbytes
+        assert peak < half + fields.nbytes + half // 6
 
 
 class TestLongRange:
@@ -315,7 +388,7 @@ class TestLongRange:
         cell, kern, spec, sys, provider, rho_hat = self.setup_case(seed=7)
         m = ModeWorkspace(spec, kern, cell)
         p = long_range_pressure(rho_hat, kern, spec, cell, modes=m)
-        amp2 = np.abs(rho_hat.values[m.mask]) ** 2
+        amp2 = np.abs(rho_hat.values.ravel()[m.flat]) ** 2
         scaled = m.weight * m.w_inv2 * amp2 / (2.0 * m.volume**2)
         trace_ref = float(np.sum((m.fhat + m.dterm * m.k2) * scaled))
         assert np.trace(p) == pytest.approx(trace_ref, rel=1e-12)
@@ -343,7 +416,7 @@ class TestModeWorkspace:
             assert solver.spec.M == M0
         keep, fhat, dterm, w_inv2 = self.reference(solver)
         m = solver.modes
-        np.testing.assert_array_equal(m.mask, keep)
+        np.testing.assert_array_equal(m.flat, np.flatnonzero(keep))
         for got, ref in ((m.fhat, fhat), (m.dterm, dterm), (m.w_inv2, w_inv2)):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -362,7 +435,7 @@ class TestModeWorkspace:
         assert (solver.mode_axes is axes) == (solver.spec.M == M0)
         assert (solver.spec.M == M0) == (cell.h[0, 0] < 9.0)
         fresh = ModeWorkspace(solver.spec, solver.kern, cell)
-        for name in ("mask", "kvec", "k2", "weight", "w_inv2", "fhat", "dterm"):
+        for name in ("flat", "band", "kvec", "k2", "weight", "w_inv2", "fhat", "dterm"):
             np.testing.assert_array_equal(getattr(solver.modes, name),
                                           getattr(fresh, name))
 
@@ -585,6 +658,65 @@ class TestOneStencil:
         assert peak < max(near, far)
 
 
+def input_order(rho):
+    """The stencil of rho in input order and in the same C layout, as one
+    with no sort (einsum's rounding depends on the operands' strides)."""
+    back = np.argsort(rho.order)
+    return dataclasses.replace(
+        rho, order=np.arange(rho.order.size, dtype=rho.order.dtype),
+        first=np.take(rho.first, back, axis=1),
+        factors=np.take(rho.factors, back, axis=2),
+        offsets=np.take(rho.offsets, back, axis=1))
+
+
+class TestOrderedStencil:
+    # The stencil is sorted by base node once per configuration; spread and
+    # gathers run in that order, and every result comes back in input order.
+    def system(self, n=3000, seed=60):
+        length = (n / 4.0) ** (1.0 / 3.0)
+        return random_neutral_system(n, [length] * 3, seed=seed)
+
+    def test_sorted_by_base_node(self):
+        sys = self.system()
+        spec = plan_grid(sys.cell, kernel_for(1e-5, 2.0), window_for(1e-5))
+        order, first, _, _ = mesh._window_weights(sys, spec)
+        assert order.dtype == first.dtype == np.int32
+        assert np.array_equal(np.sort(order), np.arange(sys.n))
+        assert not np.array_equal(order, np.arange(sys.n))
+        key = np.ravel_multi_index(first, spec.M)
+        assert np.all(np.diff(key) >= 0)
+        assert np.all(order[1:][np.diff(key) == 0] > order[:-1][np.diff(key) == 0])
+
+    def test_gathers_equal_input_order_reference(self):
+        # Several chunks: the sorted stencil's chunks hold other particles
+        # than the input-order ones, and each particle's sum is unchanged.
+        sys = self.system()
+        spec = plan_grid(sys.cell, kernel_for(1e-5, 2.0), window_for(1e-5))
+        rho = forward_density(sys, spec, TransformProvider())
+        assert sys.n > 2 * mesh.CHUNK_NODES // spec.P**3
+        fields = np.random.default_rng(4).standard_normal((3,) + spec.M)
+        ref = input_order(rho)
+        for got, want in ((rho.gather(fields), ref.gather(fields)),
+                          (rho.gather_gradient(fields[0]),
+                           ref.gather_gradient(fields[0]))):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("force_mode", ["ik", "analytic"])
+    def test_permuted_input_permutes_outputs(self, force_mode):
+        sys = self.system(n=1500, seed=61)
+        perm = np.random.default_rng(5).permutation(sys.n)
+        shuffled = ParticleSystem(cell=sys.cell, positions=sys.positions[perm],
+                                  charges=sys.charges[perm])
+        solver = CoulombSolver(sys.cell, EwaldParameters(
+            r_c=2.0, delta_split=1e-5, oversampling=2.0, force_mode=force_mode))
+        for out in ("forces", "local_pressure"):
+            if out == "forces":
+                want, got = (solver.evaluate(s).forces for s in (sys, shuffled))
+            else:
+                want, got = (solver.local_pressure(s) for s in (sys, shuffled))
+            assert np.max(np.abs(got - want[perm])) <= 1e-14 * np.max(np.abs(want))
+
+
 def one_shot_factors(window, offsets, derivative=0):
     """The window at all offsets from one Chebyshev-Vandermonde matrix."""
     return np.ascontiguousarray(np.swapaxes(window(offsets, derivative), 1, 2))
@@ -608,7 +740,7 @@ class TestWindowBlocks:
         sys = self.system(n, seed=20 + extra)
         spec = plan_grid(sys.cell, kernel_for(self.delta, self.r_c),
                          window_for(self.delta))
-        _, factors, offsets = mesh._window_weights(sys, spec)
+        _, _, factors, offsets = mesh._window_weights(sys, spec)
         assert factors.shape == (3, spec.P, n)
         for derivative, blocked in ((0, factors),
                                     (1, mesh._window_factors(spec.window, offsets, 1))):
