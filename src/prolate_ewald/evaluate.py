@@ -84,8 +84,10 @@ class EnergyBreakdown:
     """Electrostatic outputs with per-term energies.
 
     ``pressure`` is the potential part only; add kinetic_pressure() for the
-    instantaneous tensor.  All terms already include the Coulomb prefactor
-    but ``extra``, the sums of the pair term given to CoulombSolver.evaluate.
+    instantaneous tensor.  The energy terms include the Coulomb prefactor.
+    ``extra`` is the energy of the pair term given to CoulombSolver.evaluate,
+    which takes no prefactor; its forces and pressure are in ``forces`` and
+    ``pressure``, summed in the same pair pass as the near field's.
     """
 
     u_near: float
@@ -95,7 +97,7 @@ class EnergyBreakdown:
     forces: np.ndarray
     pressure: np.ndarray
     pair_count: int = 0
-    extra: ShortRangeResult | None = None
+    extra: float = 0.0
 
     @property
     def energy(self) -> float:
@@ -110,7 +112,7 @@ class CoulombSolver:
         self.kern = SplitKernel(basis=basis, r_c=params.r_c)
         self.window = tabulate_window(basis, P)
         self.provider = TransformProvider()
-        self.spec = None
+        self.spec = self.modes = None
         # Plan before tabulating: a cutoff too small to mesh raises
         # PlanningError there rather than failing inside the spline fit.
         self.rebind_cell(cell)
@@ -122,7 +124,8 @@ class CoulombSolver:
         The plan depends only on the parameters and the cell.  ``fixed_M``
         pins the grid counts (finite-difference checks of the cell
         derivative; the invariants are still verified).  mesh.axis_modes
-        is kept while the grid counts are unchanged.
+        is kept while the grid counts are unchanged, and the mode index
+        tables while the retained modes are too (mesh.ModeWorkspace).
         """
         check_cutoff(cell, self.params.r_c)
         spec = plan_grid(cell, self.kern, self.window,
@@ -130,12 +133,14 @@ class CoulombSolver:
         if self.spec is None or spec.M != self.spec.M:
             self.mode_axes = axis_modes(spec)
         self.cell, self.spec = cell, spec
-        self.modes = ModeWorkspace(spec, self.kern, cell, self.mode_axes)
+        self.modes = ModeWorkspace(spec, self.kern, cell, self.mode_axes,
+                                   previous=self.modes)
 
     def evaluate(self, sys: ParticleSystem, neighbors=None,
                  extra=None) -> EnergyBreakdown:
         """Energy, forces and pressure; ``extra``, a realspace.pair_sums
-        term (npt's soft core), rides along the near-field pass."""
+        term (npt's soft core), rides along the near-field pass and adds its
+        forces and pressure to the Coulomb ones (EnergyBreakdown.extra)."""
         if not np.array_equal(sys.cell.h, self.cell.h):
             raise ParameterError("system cell differs from the solver's cell; "
                                  "call rebind_cell first")
@@ -145,7 +150,7 @@ class CoulombSolver:
             raise ParameterError(f"neighbor list built for r_c={neighbors.r_c} "
                                  f"misses pairs within r_c={self.params.r_c}")
         sr = short_range(sys, self.kern, neighbors, table=self.pair_table,
-                         extra=extra)
+                         extra=extra, prefactor=self.params.prefactor)
 
         rho = forward_density(sys, self.spec, self.provider)
         u_far = long_range_energy(rho, self.kern, self.spec, sys.cell,
@@ -169,16 +174,20 @@ class CoulombSolver:
 def _assemble(sys: ParticleSystem, kern: SplitKernel, pref: float,
               sr: ShortRangeResult, u_far: float, f_far: np.ndarray,
               p_far: np.ndarray) -> EnergyBreakdown:
-    """Add the self and background terms and apply the Coulomb prefactor."""
+    """Add the self and background terms; apply the Coulomb prefactor to the
+    far, self and background terms (the near field, ``sr``, carries it)."""
     u_self = self_energy(kern, sys.charges)
     u_cb, u_bb, p_corr = background_correction(kern, sys.total_charge,
                                                sys.cell.volume)
-    return EnergyBreakdown(u_near=pref * sr.energy, u_far=pref * u_far,
+    # Summed left to right, so that at prefactor 1 the pressure rounds as
+    # pref * (near + far + corr) does.
+    return EnergyBreakdown(u_near=sr.energy, u_far=pref * u_far,
                            u_self=pref * u_self,
                            u_background=pref * (u_cb + u_bb),
-                           forces=pref * (sr.forces + f_far),
-                           pressure=pref * (sr.pressure + p_far + p_corr),
-                           pair_count=sr.pair_count, extra=sr.extra)
+                           forces=sr.forces + pref * f_far,
+                           pressure=sr.pressure + pref * p_far + pref * p_corr,
+                           pair_count=sr.pair_count,
+                           extra=sum(sr.energies[1:], 0.0))
 
 
 def evaluate_exact(sys: ParticleSystem,
@@ -191,12 +200,13 @@ def evaluate_exact(sys: ParticleSystem,
     """
     kern = SplitKernel(basis=build_pswf(solve_bandwidth(params.delta_split)),
                        r_c=params.r_c)
-    sr = short_range(sys, kern, build_cell_list(sys, params.r_c))
+    sr = short_range(sys, kern, build_cell_list(sys, params.r_c),
+                     prefactor=params.prefactor)
     u_far, f_far, p_far = direct_ksum(sys, kern)
     return _assemble(sys, kern, params.prefactor, sr, u_far, f_far, p_far)
 
 
-def kinetic_pressure(sys: ParticleSystem) -> np.ndarray:
+def kinetic_pressure(momenta: np.ndarray, masses: np.ndarray,
+                     volume: float) -> np.ndarray:
     """(1/V) sum_i p_i p_i^T / m_i."""
-    p = sys.momenta
-    return np.einsum("ia,ib->ab", p / sys.masses[:, None], p) / sys.cell.volume
+    return np.einsum("ia,ib->ab", momenta / masses[:, None], momenta) / volume

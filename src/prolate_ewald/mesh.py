@@ -367,10 +367,16 @@ class ModeWorkspace:
     window transform underflows, which indicates a planning failure rather
     than a numerical accident.  ``axes`` is axis_modes(spec), computed here
     when not given.
+
+    ``previous``, a workspace of the same kernel and window, lends its index
+    tables (the retained m, ``band``, ``weight`` and the checked window
+    transform product) when it has the same M and ``flat``: a rescaled cell
+    usually keeps its retained modes, and then only the wavevectors, k^2,
+    the deconvolution and the mode kernel are computed anew.
     """
 
     def __init__(self, spec: GridSpec, kern: SplitKernel, cell: Cell,
-                 axes=None):
+                 axes=None, previous: ModeWorkspace | None = None):
         self.volume = cell.volume
         ms, tables = axis_modes(spec) if axes is None else axes
         # k = B m with B = 2 pi h^-T, so k^2 = m^T G m with the metric
@@ -383,27 +389,35 @@ class ModeWorkspace:
                  for d in range(3) for e in range(d, 3) if G[d, e] != 0.0)
         mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         self.M, self.flat = spec.M, np.flatnonzero(mask)
-        index = np.unravel_index(self.flat, mask.shape)
-        retained = np.stack([m[i] for m, i in zip(ms, index)])
-        self.band = np.abs(retained).max(axis=1, initial=0).astype(int)
-        self.kvec = list(B @ retained)
         self.k2 = k2[mask]
-        self.weight = np.where((index[2] == 0) | (2 * index[2] == spec.M[2]),
-                               1.0, 2.0)
-
+        if (previous is not None and previous.M == self.M
+                and np.array_equal(previous.flat, self.flat)):
+            self.retained, self.band = previous.retained, previous.band
+            self.weight, self.psi3 = previous.weight, previous.psi3
+        else:
+            self._index_tables(spec, ms, tables, mask.shape)
+        self.kvec = list(B @ self.retained)
         # The window is separable in s, so its transform at k = B m is
         # V prod_d (P/2M_d) lambda0 psi_0(pi P m_d / (M_d c)), whatever the
         # cell shape.
-        sb = spec.window.basis
+        width = cell.volume * np.prod(spec.P / (2.0 * np.asarray(spec.M)))
+        self.w_inv2 = 1.0 / (width * spec.window.basis.lambda0**3 * self.psi3) ** 2
+        self.fhat, self.dterm = mode_kernel(kern, self.k2)
+
+    def _index_tables(self, spec, ms, tables, shape):
+        """The retained m (3 x modes), ``band``, ``weight`` and the product
+        psi3 of the three axis tables of the window transform at each mode."""
+        index = np.unravel_index(self.flat, shape)
+        self.retained = np.stack([m[i] for m, i in zip(ms, index)])
+        self.band = np.abs(self.retained).max(axis=1, initial=0).astype(int)
+        self.weight = np.where((index[2] == 0) | (2 * index[2] == spec.M[2]),
+                               1.0, 2.0)
         px, py, pz = (t[i] for t, i in zip(tables, index))
-        psi3 = px * py * pz
-        if np.any(np.abs(psi3) < 1e-13 * sb.psi0_at_zero**3):
+        self.psi3 = px * py * pz
+        if np.any(np.abs(self.psi3) < 1e-13 * spec.window.basis.psi0_at_zero**3):
             raise PlanningError(
                 "window transform underflow on a retained mode; the plan does "
                 "not cover the kernel band")
-        width = cell.volume * np.prod(spec.P / (2.0 * np.asarray(spec.M)))
-        self.w_inv2 = 1.0 / (width * sb.lambda0**3 * psi3) ** 2
-        self.fhat, self.dterm = mode_kernel(kern, self.k2)
 
     def pressure_kernel(self, scale: np.ndarray) -> np.ndarray:
         """The PAIRS components of each mode's 3x3 pressure kernel

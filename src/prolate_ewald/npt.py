@@ -9,9 +9,17 @@ cell; the steps where that changes the grid counts are counted.
 
 The soft core shares the cutoff r_c and rides along the Coulomb
 near-field pass: one pass per step over one Verlet neighbor list (Verlet,
-Phys. Rev. 1967) built at r_c plus a skin derived from the cell.  The list
-is reused from step to step, across barostat rescales too, for as long as
-no pair outside it can have come within the cutoff, and rebuilt otherwise.
+Phys. Rev. 1967) built at r_c plus a skin derived from the cell, with one
+accumulation of the forces and the virial for both terms.  The list is
+reused from step to step, across barostat rescales too, for as long as no
+pair outside it can have come within the cutoff, and rebuilt otherwise.
+
+Each step does its work once.  integrate keeps the momenta in an array of
+its own, which the kicks, the thermostat, the barostat and the records
+read and write, and builds one ParticleSystem per step, from the drifted
+positions after the barostat has rescaled them; a rebind of the solver to
+the rescaled cell keeps the mode index tables while the retained modes
+stay the same (mesh.ModeWorkspace).
 """
 
 from __future__ import annotations
@@ -89,6 +97,13 @@ class ThermoRecord:
 
 @dataclass
 class NptState:
+    """What a step changes besides the momenta.
+
+    ``system`` holds the positions and the cell of the last force
+    evaluation; integrate keeps the momenta in an array of its own, so the
+    momenta of ``system`` are not those of the step.
+    """
+
     system: ParticleSystem
     solver: CoulombSolver
     grid_changes: int = 0        # barostat steps that changed the grid counts
@@ -116,10 +131,15 @@ def maxwell_boltzmann_momenta(masses: np.ndarray, target_T: float,
     return p
 
 
-def kinetic_temperature(sys: ParticleSystem) -> float:
-    """2 KE / (k_B dof) with k_B = 1 and the center of mass removed."""
-    ke = 0.5 * float(np.sum(sys.momenta**2 / sys.masses[:, None]))
-    return 2.0 * ke / (3 * sys.n - 3)
+def kinetic_energy(momenta: np.ndarray, masses: np.ndarray) -> float:
+    """sum_i p_i^2 / 2 m_i."""
+    return 0.5 * float(np.sum(momenta**2 / masses[:, None]))
+
+
+def kinetic_temperature(momenta: np.ndarray, masses: np.ndarray) -> float:
+    """2 KE / (k_B dof) with k_B = 1 and the center of mass removed, which
+    leaves 3N - 3 degrees of freedom: N >= 2 (integrate checks it)."""
+    return 2.0 * kinetic_energy(momenta, masses) / (3 * len(masses) - 3)
 
 
 def _neighbors(state: NptState, reach: float) -> NeighborList:
@@ -157,17 +177,19 @@ def _evaluate_all(state: NptState, cfg: NptConfig):
     coul = state.solver.evaluate(
         sys, neighbors=_neighbors(state, cfg.ewald.r_c),
         extra=softcore_pairs(cfg.softcore_coeff, cfg.ewald.r_c))
-    sc = coul.extra
-    return coul.energy, sc.energy, coul.forces + sc.forces, coul.pressure + sc.pressure
+    return coul.energy, coul.extra, coul.forces, coul.pressure
 
 
 def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
-                  rng: np.random.Generator) -> NptState:
+                  rng: np.random.Generator,
+                  positions: np.ndarray | None = None) -> NptState:
     """Euler-Maruyama step of the stochastic cell-rescaling SDE.
 
     d(eps) = -(beta_T/tau_P)(P0 - P_ins) dt + sqrt(2 T beta_T/(V tau_P)) dW
-    followed by V <- V e^{eps} with an affine position rescale.  The noise
-    vanishes at target_T = 0 and is not drawn at beta_T = 0.
+    followed by V <- V e^{eps} with an affine rescale of ``positions``
+    (those of the state's system when None) into the new system of the
+    state.  The noise vanishes at target_T = 0 and is not drawn at
+    beta_T = 0.
     """
     sys = state.system
     V = sys.cell.volume
@@ -183,7 +205,9 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
         raise SimulationError(f"volume collapsed below floor: {new_volume:.3e}")
     scale = np.exp(deps / 3.0)
     new_cell = Cell(h=scale * sys.cell.h)
-    state.system = replace(sys, cell=new_cell, positions=scale * sys.positions)
+    if positions is None:
+        positions = sys.positions
+    state.system = replace(sys, cell=new_cell, positions=scale * positions)
     grid = state.solver.spec.M
     state.solver.rebind_cell(new_cell)
     state.grid_changes += int(state.solver.spec.M != grid)
@@ -221,12 +245,19 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     """Velocity Verlet with optional thermostat and barostat.
 
     Same seed, same thread count, same inputs: bitwise-identical trajectory
-    (all randomness flows through one PCG64 generator).
+    (all randomness flows through one PCG64 generator).  The temperature
+    counts 3N - 3 degrees of freedom, so fewer than 2 particles raise
+    SimulationError.
     """
+    if sys.n < 2:
+        raise SimulationError(f"integrate needs at least 2 particles "
+                              f"(3N - 3 degrees of freedom), got {sys.n}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    masses = sys.masses
     if initialize_momenta:
-        p0 = maxwell_boltzmann_momenta(sys.masses, cfg.target_T, rng)
-        sys = replace(sys, momenta=p0)
+        p = maxwell_boltzmann_momenta(masses, cfg.target_T, rng)
+    else:
+        p = sys.momenta.copy()
     solver = solver or CoulombSolver(sys.cell, cfg.ewald)
     state = NptState(system=sys, solver=solver)
 
@@ -234,42 +265,40 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     records = []
 
     def record(step):
-        s = state.system
-        p_ins = p_pot + kinetic_pressure(s)
-        ke = 0.5 * float(np.sum(s.momenta**2 / s.masses[:, None]))
-        V = s.cell.volume
+        V = state.system.cell.volume
+        ke = kinetic_energy(p, masses)
         e_tot = u_coul + u_sc + ke
         records.append(ThermoRecord(
-            step=step, temperature=kinetic_temperature(s),
-            pressure=p_ins, volume=V, u_coulomb=u_coul, u_softcore=u_sc,
-            kinetic=ke, enthalpy=e_tot + cfg.target_P0 * V))
+            step=step, temperature=kinetic_temperature(p, masses),
+            pressure=p_pot + kinetic_pressure(p, masses, V), volume=V,
+            u_coulomb=u_coul, u_softcore=u_sc, kinetic=ke,
+            enthalpy=e_tot + cfg.target_P0 * V))
 
     record(0)
     for step in range(1, cfg.n_steps + 1):
         s = state.system
         if np.max(np.abs(forces)) > FORCE_CEILING:
             raise SimulationError(f"force blowup at step {step}")
-        p_half = s.momenta + 0.5 * cfg.dt * forces
-        new_pos = s.positions + cfg.dt * p_half / s.masses[:, None]
-        state.system = replace(s, positions=new_pos, momenta=p_half)
+        p += 0.5 * cfg.dt * forces
+        positions = s.positions + cfg.dt * p / masses[:, None]
 
         if cfg.barostat:
             # The barostat consumes the most recent pressure evaluation;
             # rescaling before the force computation keeps the cost at one
             # evaluation per step.
-            p_ins = p_pot + kinetic_pressure(state.system)
-            state = barostat_step(state, cfg, float(np.trace(p_ins)) / 3.0, rng)
+            p_ins = p_pot + kinetic_pressure(p, masses, s.cell.volume)
+            state = barostat_step(state, cfg, float(np.trace(p_ins)) / 3.0, rng,
+                                  positions=positions)
+        else:
+            state.system = replace(s, positions=positions)
 
         u_coul, u_sc, forces, p_pot = _evaluate_all(state, cfg)
-        s = state.system
-        state.system = replace(s, momenta=s.momenta + 0.5 * cfg.dt * forces)
+        p += 0.5 * cfg.dt * forces
 
         if cfg.thermostat_period and step % cfg.thermostat_period == 0:
-            s = state.system
-            t_now = kinetic_temperature(s)
+            t_now = kinetic_temperature(p, masses)
             if t_now > 0:
-                lam = np.sqrt(cfg.target_T / t_now)
-                state.system = replace(s, momenta=lam * s.momenta)
+                p *= np.sqrt(cfg.target_T / t_now)
 
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             record(step)

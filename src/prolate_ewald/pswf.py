@@ -166,10 +166,9 @@ def build_pswf(c: float) -> PswfBasis:
 def eval_phi0(basis: PswfBasis, r, r_c: float):
     """Normalized cumulative integral phi_0^c(r) = (1/C0) int_0^{r/r_c} psi_0^c.
 
-    Returns 1 for r >= r_c; monotone nondecreasing.
+    Returns 1 for r >= r_c; monotone nondecreasing.  r_c > 0 is the
+    caller's to keep (SplitKernel checks it).
     """
-    if r_c <= 0.0:
-        raise DomainError("cutoff r_c must be positive")
     ra = np.asarray(r, dtype=float)
     if np.any(ra < 0.0):
         raise DomainError("radius must be nonnegative")

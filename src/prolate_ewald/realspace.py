@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -25,11 +25,22 @@ PAIR_TABLE_INTERVALS = 4096
 
 @dataclass(frozen=True)
 class ShortRangeResult:
-    energy: float
+    """Sums of one pass over the pairs (pair_sums).
+
+    ``energies`` holds one energy per pair term, in the order the terms
+    were given; ``forces`` and ``pressure`` are those of all the terms
+    together.  ``energy`` is the first term's, the near field in
+    short_range.
+    """
+
+    energies: tuple
     forces: np.ndarray
     pressure: np.ndarray
     pair_count: int
-    extra: ShortRangeResult | None = None   # sums of short_range's extra term
+
+    @property
+    def energy(self) -> float:
+        return self.energies[0]
 
 
 @dataclass(frozen=True)
@@ -84,30 +95,35 @@ def build_pair_table(kern: SplitKernel) -> PairTable:
 
 
 def pair_sums(sys: ParticleSystem, neighbors: NeighborList, cutoff: float,
-              terms) -> list:
-    """One ShortRangeResult per pair term, from one pass over the pairs.
+              terms) -> ShortRangeResult:
+    """Energy of each pair term, and the forces and pressure of all of them,
+    from one pass over the pairs.
 
     A term maps (i, j, r^2) of listed pairs within ``cutoff`` to energies u
     and force weights f: force_i = sum_j f dr_ij, P = (1/V) sum f dr (x) dr,
     with dr = r_i - r_j (minimum image).  Pairs come from neighbors.pairs in
     chunks of at most chunk_length(N), so temporaries stay bounded; each
-    chunk is gathered, imaged and masked once for all terms.  The pass is
-    coordinate-major: dr is 3 x n, gathered from the rows of positions^T,
-    and forces add up 3 x N, one bincount per axis for each end of a pair.
+    chunk is gathered, imaged and masked once for all terms, and the terms'
+    force weights are added up before one accumulation of the forces and
+    the virial, whatever the number of terms.  The pass is coordinate-major:
+    dr is 3 x n, gathered from the rows of positions^T, and forces add up
+    3 x N, one bincount per axis for each end of a pair.
     """
     n = sys.n
     pos = np.ascontiguousarray(sys.positions.T)
-    sums = [[0.0, np.zeros((3, n)), np.zeros((3, 3))] for _ in terms]
+    energies = [0.0] * len(terms)
+    forces, virial = np.zeros((3, n)), np.zeros((3, 3))
     count = 0
     for i, j in neighbors.pairs(chunk_length(n)):
-        count += _add_chunk(sums, terms, sys.cell, pos, cutoff, i, j)
-    return [ShortRangeResult(energy=e, forces=f.T, pair_count=count,  # symmetric P
-                             pressure=0.5 * (v + v.T) / sys.cell.volume)
-            for e, f, v in sums]
+        count += _add_chunk(energies, forces, virial, terms, sys.cell, pos,
+                            cutoff, i, j)
+    return ShortRangeResult(energies=tuple(energies), forces=forces.T,
+                            pressure=0.5 * (virial + virial.T) / sys.cell.volume,
+                            pair_count=count)
 
 
-def _add_chunk(sums, terms, cell, pos, cutoff, i, j) -> int:
-    """Add one chunk of pairs to ``sums``; return how many were within cutoff.
+def _add_chunk(energies, forces, virial, terms, cell, pos, cutoff, i, j) -> int:
+    """Add one chunk of pairs to the sums; return how many were within cutoff.
 
     A function of its own, so that its temporaries are freed before the
     next chunk is read.
@@ -124,40 +140,45 @@ def _add_chunk(sums, terms, cell, pos, cutoff, i, j) -> int:
     within = r2 <= cutoff * cutoff
     if not within.all():
         i, j, dr, r2 = i[within], j[within], dr[:, within], r2[within]
+    fmag = None
+    for k, term in enumerate(terms):
+        u, f = term(i, j, r2)
+        energies[k] += float(np.sum(u))
+        fmag = f if fmag is None else fmag + f
+    fdr = dr * fmag
     n = pos.shape[1]
-    for acc, term in zip(sums, terms):
-        u, fmag = term(i, j, r2)
-        acc[0] += float(np.sum(u))
-        fdr = dr * fmag
-        for a in range(3):
-            acc[1][a] += np.bincount(i, fdr[a], minlength=n)
-            acc[1][a] -= np.bincount(j, fdr[a], minlength=n)
-        acc[2] += fdr @ dr.T
+    for a in range(3):
+        forces[a] += np.bincount(i, fdr[a], minlength=n)
+        forces[a] -= np.bincount(j, fdr[a], minlength=n)
+    virial += fdr @ dr.T
     return r2.size
 
 
 def short_range(sys: ParticleSystem, kern: SplitKernel, neighbors: NeighborList,
-                table: PairTable | None = None, extra=None) -> ShortRangeResult:
+                table: PairTable | None = None, extra=None,
+                prefactor: float = 1.0) -> ShortRangeResult:
     """Fused near-field pass: energy, forces, and pressure tensor.
 
-    energy  = sum_{pairs} q_i q_j N^c(r)
-    force_i = sum_j q_i q_j F_N(r) dr_ij / r^3          (repulsive for qq > 0)
-    P_N     = (1/V) sum_{pairs} q_i q_j F_N(r) dr (x) dr / r^3
+    energy  = A sum_{pairs} q_i q_j N^c(r)
+    force_i = A sum_j q_i q_j F_N(r) dr_ij / r^3          (repulsive for A qq > 0)
+    P_N     = (A/V) sum_{pairs} q_i q_j F_N(r) dr (x) dr / r^3
 
+    with A the Coulomb ``prefactor``, applied to the pair weights.
     ``table=None`` evaluates the closed-form kernel instead.  ``extra``, a
-    pair_sums term, is summed in the same pass into ``extra`` of the result.
+    pair_sums term that takes no prefactor, rides along the same pass: its
+    energy is the second of ``energies``, and its forces and pressure are
+    added to the near field's.
     """
-    charges = sys.charges
+    scaled, charges = prefactor * sys.charges, sys.charges
 
     def coulomb(i, j, r2):
         r = np.sqrt(r2)
-        qq = charges.take(i) * charges.take(j)
+        qq = scaled.take(i) * charges.take(j)
         if table is not None:
             nvals, fvals = table.eval(r)
         else:
             nvals, fvals = near_field(kern, r), fn_weight(kern, r)
         return qq * nvals, qq * fvals / (r2 * r)
 
-    near, *rest = pair_sums(sys, neighbors, kern.r_c,
-                            [coulomb] if extra is None else [coulomb, extra])
-    return replace(near, extra=rest[0]) if rest else near
+    return pair_sums(sys, neighbors, kern.r_c,
+                     [coulomb] if extra is None else [coulomb, extra])

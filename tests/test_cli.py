@@ -528,6 +528,18 @@ class TestSimulate:
         assert code == 3
         assert capsys.readouterr().err.startswith("error: record_every")
 
+    def test_one_particle_is_runtime_error(self, tmp_path, capsys):
+        # The temperature counts 3N - 3 degrees of freedom: none for N = 1.
+        path = tmp_path / "one.txt"
+        path.write_text("cell 6 6 6\n2 3 3 1 1\n")
+        code, out = run_cli("simulate", "--input", str(path), "--n-steps", "2",
+                            "--r-c", "2.0", "--delta-split", "1e-4")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: integrate needs at least 2 particles")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, field", [
         ("--dt", "dt"), ("--tau-p", "tau_P"), ("--beta-t", "beta_T"),
         ("--target-t", "target_T"), ("--target-p0", "target_P0"),

@@ -439,6 +439,35 @@ class TestModeWorkspace:
             np.testing.assert_array_equal(getattr(solver.modes, name),
                                           getattr(fresh, name))
 
+    def test_rebind_sequence_keeps_index_tables_while_modes_hold(self):
+        # Rescales as a barostat makes them: the index tables pass from one
+        # workspace to the next while M and the retained set hold (7.5075,
+        # 7.58, 8.1081), and are rebuilt when the retained set changes at
+        # the same M (7.575), also at the same number of modes (the
+        # stretched cell and the cube after it keep 662), or when M changes
+        # (8.1: 14 -> 16).  Every rebind equals a fresh workspace bit for
+        # bit.
+        solver = CoulombSolver(Cell.orthorhombic((7.5, 7.5, 7.5)),
+                               EwaldParameters(r_c=2.2, delta_split=1e-4))
+        kept = []
+        for lengths in ((7.5 * 1.015, 7.5 / 1.015, 7.5), (7.5,) * 3,
+                        (7.5075,) * 3, (7.575,) * 3, (7.58,) * 3, (8.1,) * 3,
+                        (8.1081,) * 3):
+            before = solver.modes
+            cell = Cell.orthorhombic(lengths)
+            solver.rebind_cell(cell)
+            m = solver.modes
+            kept.append(m.retained is before.retained)
+            assert kept[-1] == (m.M == before.M
+                                and np.array_equal(m.flat, before.flat))
+            fresh = ModeWorkspace(solver.spec, solver.kern, cell)
+            for name in ("flat", "retained", "band", "kvec", "k2", "weight",
+                         "psi3", "w_inv2", "fhat", "dterm"):
+                np.testing.assert_array_equal(getattr(m, name),
+                                              getattr(fresh, name))
+        assert kept == [False, False, True, False, True, False, True]
+        assert solver.spec.M == (16, 16, 16)
+
 
 class TestLocalPressure:
     def test_zero_charges(self):

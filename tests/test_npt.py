@@ -42,8 +42,8 @@ def softcore(sys, coeff, cutoff, neighbors=None):
     """(energy, forces, pressure) of the soft core alone, in one pair pass."""
     if neighbors is None:
         neighbors = build_cell_list(sys, cutoff)
-    sc, = realspace.pair_sums(sys, neighbors, cutoff,
-                              [softcore_pairs(coeff, cutoff)])
+    sc = realspace.pair_sums(sys, neighbors, cutoff,
+                             [softcore_pairs(coeff, cutoff)])
     return sc.energy, sc.forces, sc.pressure
 
 
@@ -153,7 +153,8 @@ class TestMomenta:
         sys = ParticleSystem(cell=Cell.orthorhombic([50.0] * 3),
                              positions=rng.uniform(0, 50, (4000, 3)),
                              charges=np.zeros(4000), masses=masses, momenta=p)
-        assert kinetic_temperature(sys) == pytest.approx(0.7, rel=0.05)
+        assert kinetic_temperature(sys.momenta, sys.masses) == pytest.approx(
+            0.7, rel=0.05)
 
 
 class TestBarostatStep:
@@ -276,6 +277,31 @@ class TestIntegrate:
         _, _, forces, _ = _evaluate_all(state, cfg)
         scale = np.linalg.norm(forces, axis=1).max()
         assert np.linalg.norm(forces.sum(axis=0)) <= 1e-10 * scale
+
+    def test_one_particle_rejected(self):
+        # 3N - 3 degrees of freedom leave no temperature for N = 1.
+        cell = Cell.orthorhombic([6.0, 6.0, 6.0])
+        sys = ParticleSystem(cell=cell, positions=[[2.0, 3.0, 3.0]],
+                             charges=[1.0])
+        with pytest.raises(SimulationError, match="at least 2 particles"):
+            integrate(toy_config(n_steps=2), sys)
+
+    @pytest.mark.parametrize("barostat", [False, True])
+    def test_one_particle_system_per_step(self, monkeypatch, barostat):
+        built = []
+        inner = ParticleSystem.__post_init__
+
+        def counted(self):
+            built.append(1)
+            inner(self)
+
+        sys = toy_system(seed=7)
+        cfg = toy_config(n_steps=12, barostat=barostat, thermostat_period=5,
+                         record_every=5)
+        monkeypatch.setattr(ParticleSystem, "__post_init__", counted)
+        stats = integrate(cfg, sys)
+        assert len(stats.records) == 4
+        assert len(built) <= cfg.n_steps + 1
 
     def test_force_ceiling_trips(self):
         # The pair 0.02 apart feels about 1.5e23 from the soft core, far
@@ -434,17 +460,26 @@ class TestFusedPairPass:
                                        atol=1e-12 * np.abs(f_sc).max())
 
     def test_one_pair_pass_per_step(self, monkeypatch):
-        calls = []
-        inner = realspace.pair_sums
+        # One pair_sums call takes both terms, and its one chunk of pairs
+        # accumulates the forces once: one bincount per axis for each end
+        # of a pair, not one set per term.
+        calls, bincounts = [], []
+        inner, bincount = realspace.pair_sums, np.bincount
 
         def counted(sys, neighbors, cutoff, terms):
             calls.append(len(terms))
             return inner(sys, neighbors, cutoff, terms)
 
-        monkeypatch.setattr(realspace, "pair_sums", counted)
+        def counted_bincount(*args, **kwargs):
+            bincounts.append(1)
+            return bincount(*args, **kwargs)
+
         sys = toy_system(n=64, L=5.0, seed=12)
         cfg = toy_config()
         state = NptState(system=sys, solver=CoulombSolver(sys.cell, cfg.ewald))
+        monkeypatch.setattr(realspace, "pair_sums", counted)
+        monkeypatch.setattr(realspace.np, "bincount", counted_bincount)
         npt._evaluate_all(state, cfg)
-        assert state.neighbors.n_pairs > 0
+        assert 0 < state.neighbors.n_pairs <= realspace.chunk_length(sys.n)
         assert calls == [2]
+        assert len(bincounts) == 6
