@@ -17,8 +17,7 @@ from .mesh import (GridSpec, ModeWorkspace, TransformProvider,
 from .npt import (NptConfig, ThermoRecord, TrajectoryStatistics,
                   barostat_step, integrate, maxwell_boltzmann_momenta)
 from .oracle import (OracleReport, classical_ewald, direct_ksum,
-                     fd_force_check, fd_pressure_check, make_report,
-                     relative_deviation, virial_audit)
+                     make_report, relative_deviation, virial_audit)
 from .pswf import (PswfBasis, WindowTable, build_pswf, eval_phi0,
                    solve_bandwidth, tabulate_window)
 from .realspace import PairTable, ShortRangeResult, build_pair_table, short_range
@@ -35,9 +34,8 @@ __all__ = [
     "TransformProvider", "WindowTable", "background_correction",
     "barostat_step", "build_cell_list", "build_pair_table", "build_pswf",
     "check_cutoff", "classical_ewald", "direct_ksum", "eval_phi0",
-    "evaluate_exact", "far_field", "fd_force_check",
-    "fd_pressure_check", "fn_weight", "forward_density", "integrate",
-    "kinetic_pressure", "local_pressure", "long_range_energy",
+    "evaluate_exact", "far_field", "fn_weight", "forward_density",
+    "integrate", "kinetic_pressure", "local_pressure", "long_range_energy",
     "long_range_forces", "long_range_pressure", "make_report",
     "maxwell_boltzmann_momenta", "minimum_image", "near_field", "plan_grid",
     "relative_deviation", "self_energy", "short_range", "solve_bandwidth",

@@ -102,19 +102,6 @@ def _parse_floats(path, ln, cols, offset):
     return out
 
 
-def write_particles(path, sys: ParticleSystem) -> None:
-    lines = []
-    if sys.cell.is_orthorhombic:
-        L = np.diag(sys.cell.h)
-        lines.append("cell " + " ".join(fnum(x) for x in L))
-    else:
-        flat = sys.cell.h.reshape(-1, order="F")
-        lines.append("cell3 " + " ".join(fnum(x) for x in flat))
-    for r, q, m in zip(sys.positions, sys.charges, sys.masses):
-        lines.append(" ".join(fnum(v) for v in (*r, q, m)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # config files
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import SplitKernel, background_correction, self_energy
-from .mesh import (ModeWorkspace, TransformProvider, axis_modes,
-                   forward_density, local_pressure, long_range_energy,
-                   long_range_forces, long_range_pressure, plan_grid)
+from .mesh import (ModeWorkspace, TransformProvider, forward_density,
+                   local_pressure, long_range_energy, long_range_forces,
+                   long_range_pressure, plan_grid)
 from .oracle import direct_ksum
 from .pswf import (DELTA_MAX, DELTA_MIN, build_pswf, solve_bandwidth,
                    tabulate_window)
@@ -112,7 +112,7 @@ class CoulombSolver:
         self.kern = SplitKernel(basis=basis, r_c=params.r_c)
         self.window = tabulate_window(basis, P)
         self.provider = TransformProvider()
-        self.spec = self.modes = None
+        self.modes = None
         # Plan before tabulating: a cutoff too small to mesh raises
         # PlanningError there rather than failing inside the spline fit.
         self.rebind_cell(cell)
@@ -123,18 +123,14 @@ class CoulombSolver:
 
         The plan depends only on the parameters and the cell.  ``fixed_M``
         pins the grid counts (finite-difference checks of the cell
-        derivative; the invariants are still verified).  mesh.axis_modes
-        is kept while the grid counts are unchanged, and the mode index
-        tables while the retained modes are too (mesh.ModeWorkspace).
+        derivative; the invariants are still verified).  The new
+        mesh.ModeWorkspace reuses what it can of the previous one.
         """
         check_cutoff(cell, self.params.r_c)
         spec = plan_grid(cell, self.kern, self.window,
                          self.params.oversampling, fixed_M)
-        if self.spec is None or spec.M != self.spec.M:
-            self.mode_axes = axis_modes(spec)
         self.cell, self.spec = cell, spec
-        self.modes = ModeWorkspace(spec, self.kern, cell, self.mode_axes,
-                                   previous=self.modes)
+        self.modes = ModeWorkspace(spec, self.kern, cell, previous=self.modes)
 
     def evaluate(self, sys: ParticleSystem, neighbors=None,
                  extra=None) -> EnergyBreakdown:

@@ -48,10 +48,6 @@ class PlanningError(Exception):
     """A grid invariant cannot be satisfied; the message names it."""
 
 
-class MeshError(Exception):
-    pass
-
-
 class TransformProvider:
     """Pluggable 3D periodic real FFT contract with call counters.
 
@@ -365,20 +361,23 @@ class ModeWorkspace:
     largest |m_d| among them along each axis, which bounds the lines the
     inverse transform works on.  A guard rejects retained modes where the
     window transform underflows, which indicates a planning failure rather
-    than a numerical accident.  ``axes`` is axis_modes(spec), computed here
-    when not given.
+    than a numerical accident.
 
-    ``previous``, a workspace of the same kernel and window, lends its index
-    tables (the retained m, ``band``, ``weight`` and the checked window
-    transform product) when it has the same M and ``flat``: a rescaled cell
-    usually keeps its retained modes, and then only the wavevectors, k^2,
-    the deconvolution and the mode kernel are computed anew.
+    ``previous``, a workspace of the same kernel and window, lends its
+    ``axes`` (axis_modes(spec), which the cell does not enter) when it has
+    the same M, and its index tables (the retained m, ``band``,
+    ``weight`` and the checked window transform product) when it also has
+    the same ``flat``: a rescaled cell usually keeps its retained modes, and
+    then only the wavevectors, k^2, the deconvolution and the mode kernel
+    are computed anew.
     """
 
     def __init__(self, spec: GridSpec, kern: SplitKernel, cell: Cell,
-                 axes=None, previous: ModeWorkspace | None = None):
+                 previous: ModeWorkspace | None = None):
         self.volume = cell.volume
-        ms, tables = axis_modes(spec) if axes is None else axes
+        same_grid = previous is not None and previous.M == spec.M
+        self.axes = previous.axes if same_grid else axis_modes(spec)
+        ms, tables = self.axes
         # k = B m with B = 2 pi h^-T, so k^2 = m^T G m with the metric
         # G = B^T B, summed on the grid from the per-axis indices m_d.
         B = cell.reciprocal
@@ -390,8 +389,7 @@ class ModeWorkspace:
         mask = (np.sqrt(k2) <= kern.kmax) & (k2 > 0.0)
         self.M, self.flat = spec.M, np.flatnonzero(mask)
         self.k2 = k2[mask]
-        if (previous is not None and previous.M == self.M
-                and np.array_equal(previous.flat, self.flat)):
+        if same_grid and np.array_equal(previous.flat, self.flat):
             self.retained, self.band = previous.retained, previous.band
             self.weight, self.psi3 = previous.weight, previous.psi3
         else:
@@ -469,8 +467,6 @@ def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
     ``analytic``: one inverse transform of Fhat What^-2 rho_hat, gathered
     with the window gradient (energy-conserving for small steps).
     """
-    if mode not in ("ik", "analytic"):
-        raise MeshError(f"unknown differentiation mode {mode!r}")
     provider = provider or TransformProvider()
     m = modes or ModeWorkspace(spec, kern, cell)
     scale = m.fhat * m.w_inv2 * np.take(rho_hat.values, m.flat)

@@ -71,6 +71,7 @@ class NptConfig:
                 ("beta_T", "finite and >= 0",
                  finite(self.beta_T) and self.beta_T >= 0),
                 ("thermostat_period", ">= 0", self.thermostat_period >= 0),
+                ("seed", ">= 0", self.seed >= 0),
                 ("softcore_coeff", "finite", finite(self.softcore_coeff)),
                 ("record_every", ">= 1", self.record_every >= 1),
                 ("burn_in_fraction", "in [0, 1)",

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from prolate_ewald import (Cell, ParticleSystem, SplitKernel, build_pswf,
                            solve_bandwidth, tabulate_window)
+from prolate_ewald.cli import fnum
 from prolate_ewald.evaluate import default_order
 
 _BASIS_CACHE = {}
@@ -52,6 +55,20 @@ def random_neutral_system(n, lengths, seed, charge_style="alternating"):
         q = rng.normal(size=n)
         q -= q.mean()
     return ParticleSystem(cell=cell, positions=pos, charges=q)
+
+
+def write_particles(path, sys: ParticleSystem) -> None:
+    """Write ``sys`` in the particle-file format of cli.read_particles."""
+    lines = []
+    if sys.cell.is_orthorhombic:
+        L = np.diag(sys.cell.h)
+        lines.append("cell " + " ".join(fnum(x) for x in L))
+    else:
+        flat = sys.cell.h.reshape(-1, order="F")
+        lines.append("cell3 " + " ".join(fnum(x) for x in flat))
+    for r, q, m in zip(sys.positions, sys.charges, sys.masses):
+        lines.append(" ".join(fnum(v) for v in (*r, q, m)))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="session")

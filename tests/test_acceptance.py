@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import basis_for, kernel_for, random_neutral_system
+from fd_checks import fd_pressure_check
 from prolate_ewald import (
     Cell,
     CoulombSolver,
@@ -28,7 +29,6 @@ from prolate_ewald import (
     direct_ksum,
     evaluate_exact,
     far_field,
-    fd_pressure_check,
     integrate,
     near_field,
     short_range,

@@ -17,10 +17,12 @@ from prolate_ewald import cli
 from prolate_ewald.cli import (OPTIONS, InputError, TuningError,
                                build_parser, ewald_params, main, read_config,
                                read_particles, resolve_config,
-                               tune_parameters, write_particles)
+                               tune_parameters)
 from prolate_ewald.evaluate import EwaldParameters
 from prolate_ewald.npt import NptConfig
 from prolate_ewald.system import Cell, ParticleSystem
+
+from conftest import write_particles
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -554,6 +556,15 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert capsys.readouterr().err.startswith(f"error: {field}=nan must")
+
+    def test_negative_seed_is_named(self, capsys):
+        code, out = run_cli("simulate", "--input",
+                            str(FIXTURES / "cluster64.txt"), "--n-steps", "3",
+                            "--r-c", "1.6", "--delta-split", "1e-3",
+                            "--seed", "-1")
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == "error: seed=-1 must be >= 0\n"
 
     def test_seeded_runs_identical(self, tmp_path):
         argv = ("simulate", "--input", str(FIXTURES / "cluster64.txt"),

@@ -23,6 +23,19 @@ def triclinic_system():
                           charges=q)
 
 
+class TestParameters:
+    @pytest.mark.parametrize("name, value", [
+        ("r_c", np.nan), ("r_c", np.inf), ("r_c", 0.0), ("r_c", -1.0),
+        ("delta_split", np.nan), ("delta_split", 2.0),
+        ("delta_split", 1e-15), ("P", 1), ("oversampling", 0.5),
+        ("oversampling", np.nan), ("oversampling", np.inf),
+        ("prefactor", np.nan), ("prefactor", np.inf),
+        ("force_mode", "spline")])
+    def test_bad_value_names_field(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name}={value!r} must"):
+            EwaldParameters(**{"r_c": 2.0, name: value})
+
+
 class TestCellCheck:
     def test_rescaled_cell_rejected(self):
         sys = random_neutral_system(16, (6.0, 6.0, 6.0), seed=1)

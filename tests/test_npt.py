@@ -53,7 +53,8 @@ class TestConfig:
                     dict(beta_T=-0.1), dict(n_steps=-1), dict(record_every=0),
                     dict(record_every=-5), dict(thermostat_period=-1),
                     dict(burn_in_fraction=1.5), dict(burn_in_fraction=1.0),
-                    dict(burn_in_fraction=-0.1), dict(target_T=-0.5)):
+                    dict(burn_in_fraction=-0.1), dict(target_T=-0.5),
+                    dict(seed=-1)):
             with pytest.raises(SimulationError):
                 toy_config(**bad)
 

@@ -5,12 +5,12 @@ import pytest
 
 from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
 from prolate_ewald.oracle import (OracleError, OracleReport, classical_ewald,
-                                  direct_ksum, fd_force_check,
-                                  fd_pressure_check, make_report,
+                                  direct_ksum, make_report,
                                   relative_deviation, virial_audit)
 from prolate_ewald.system import Cell, ParticleSystem
 
 from conftest import kernel_for, random_neutral_system, window_for
+from fd_checks import fd_force_check, fd_pressure_check
 
 # Madelung constant of rock salt from this module's classical Ewald path,
 # frozen so regressions cannot hide behind a moving reference.  Two
