@@ -114,9 +114,9 @@ def _parse_bool(tok: str) -> bool:
     raise ValueError(f"not a boolean: {tok!r}")
 
 
-# Run parameters: config key -> (type, default).  Every key except the
-# config-only burn_in_fraction is also a flag --key-name (barostat is
-# --no-barostat); the SIMULATE_OPTIONS flags belong to simulate alone.
+# Run parameters: config key -> (type, default).  Every key is also a flag
+# --key-name (barostat is --no-barostat); the SIMULATE_OPTIONS flags belong
+# to simulate alone.
 COMMON_OPTIONS = {
     "delta_split": (float, 1e-6), "p_order": (int, None), "r_c": (float, None),
     "oversampling": (float, 1.0), "force_mode": (str, "ik"),
@@ -127,7 +127,7 @@ SIMULATE_OPTIONS = {
     "target_t": (float, 1.0), "target_p0": (float, 0.0), "tau_p": (float, 10.0),
     "beta_t": (float, 0.05), "thermostat_period": (int, 10),
     "barostat": (_parse_bool, True), "softcore_coeff": (float, 1.0),
-    "record_every": (int, 10), "burn_in_fraction": (float, 0.2),
+    "record_every": (int, 10),
 }
 OPTIONS = {**COMMON_OPTIONS, **SIMULATE_OPTIONS}
 
@@ -426,7 +426,7 @@ def _add_options(p, options):
         if key == "barostat":
             p.add_argument("--no-barostat", dest=key, action="store_false",
                            default=None)
-        elif key != "burn_in_fraction":
+        else:
             p.add_argument("--" + key.replace("_", "-"), type=typ)
 
 

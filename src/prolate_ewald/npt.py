@@ -2,24 +2,25 @@
 
 Velocity Verlet with soft-core r^-12 repulsion plus periodic Coulomb
 forces, a periodic velocity-rescaling thermostat, and an isotropic
-stochastic cell-rescaling barostat acting on the log volume.  The barostat
-rescales the cell and positions affinely (fixed fractional coordinates)
-and leaves momenta untouched.  Every rescale re-plans the mesh for the new
-cell; the steps where that changes the grid counts are counted.
+stochastic cell-rescaling barostat acting on the log volume (Bernetti &
+Bussi, JCP 2020).  barostat_step is the draw alone: it returns the
+rescaled cell and the positions rescaled with it (fixed fractional
+coordinates), and leaves momenta untouched.
+
+integrate owns the step.  It keeps the momenta in an array of its own,
+which the kicks, the thermostat, the barostat and the records read and
+write, and builds one ParticleSystem per step, from the drifted positions
+after the barostat has rescaled them.  It rebinds the solver to every
+rescaled cell, which re-plans the mesh (keeping the mode index tables
+while the retained modes stay the same, mesh.ModeWorkspace), and counts
+the steps where that changes the grid counts.
 
 The soft core shares the cutoff r_c and rides along the Coulomb
-near-field pass: one pass per step over one Verlet neighbor list (Verlet,
-Phys. Rev. 1967) built at r_c plus a skin derived from the cell, with one
-accumulation of the forces and the virial for both terms.  The list is
-reused from step to step, across barostat rescales too, for as long as no
-pair outside it can have come within the cutoff, and rebuilt otherwise.
-
-Each step does its work once.  integrate keeps the momenta in an array of
-its own, which the kicks, the thermostat, the barostat and the records
-read and write, and builds one ParticleSystem per step, from the drifted
-positions after the barostat has rescaled them; a rebind of the solver to
-the rescaled cell keeps the mode index tables while the retained modes
-stay the same (mesh.ModeWorkspace).
+near-field pass: one pass per step over one Verlet neighbor list built at
+r_c plus a skin derived from the cell, with one accumulation of the forces
+and the virial for both terms.  integrate reuses the list from step to
+step, across barostat rescales too, while NeighborList.covers says that it
+still holds every pair within r_c, and rebuilds it otherwise.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .evaluate import CoulombSolver, EwaldParameters, kinetic_pressure
-from .system import (Cell, NeighborList, ParticleSystem, build_cell_list,
-                     check_cutoff, minimum_image)
+from .system import Cell, ParticleSystem, build_cell_list
 
 # The barostat stops a run whose volume falls below this, and integrate a
 # run whose largest force component exceeds FORCE_CEILING (reduced units).
 VOLUME_FLOOR = 1e-6
 FORCE_CEILING = 1e8
+# The share of the records, from the start, that the statistics leave out.
+BURN_IN_FRACTION = 0.2
 
 
 class SimulationError(Exception):
@@ -56,7 +58,6 @@ class NptConfig:
     ewald: EwaldParameters = field(default_factory=lambda: EwaldParameters(r_c=1.0))
     softcore_coeff: float = 1.0
     record_every: int = 10
-    burn_in_fraction: float = 0.2
 
     def __post_init__(self):
         finite = np.isfinite
@@ -73,9 +74,7 @@ class NptConfig:
                 ("thermostat_period", ">= 0", self.thermostat_period >= 0),
                 ("seed", ">= 0", self.seed >= 0),
                 ("softcore_coeff", "finite", finite(self.softcore_coeff)),
-                ("record_every", ">= 1", self.record_every >= 1),
-                ("burn_in_fraction", "in [0, 1)",
-                 0.0 <= self.burn_in_fraction < 1.0)):
+                ("record_every", ">= 1", self.record_every >= 1)):
             if not ok:
                 raise SimulationError(f"{name}={getattr(self, name)!r} must be {need}")
 
@@ -94,23 +93,6 @@ class ThermoRecord:
     @property
     def pressure_scalar(self) -> float:
         return float(np.trace(self.pressure)) / 3.0
-
-
-@dataclass
-class NptState:
-    """What a step changes besides the momenta.
-
-    ``system`` holds the positions and the cell of the last force
-    evaluation; integrate keeps the momenta in an array of its own, so the
-    momenta of ``system`` are not those of the step.
-    """
-
-    system: ParticleSystem
-    solver: CoulombSolver
-    grid_changes: int = 0        # barostat steps that changed the grid counts
-    neighbors: NeighborList | None = None     # the Verlet list in use
-    neighbor_origin: ParticleSystem | None = None  # configuration it was built from
-    neighbor_rebuilds: int = 0
 
 
 def softcore_pairs(coeff: float, cutoff: float):
@@ -143,57 +125,17 @@ def kinetic_temperature(momenta: np.ndarray, masses: np.ndarray) -> float:
     return 2.0 * kinetic_energy(momenta, masses) / (3 * len(masses) - 3)
 
 
-def _neighbors(state: NptState, reach: float) -> NeighborList:
-    """A list holding every pair of the current configuration within ``reach``.
-
-    Positions are mapped back to the build cell, which removes the
-    barostat's affine rescale.  A pair outside the list was farther than
-    reach + skin at the build; with every particle moved by at most d_max
-    since, and sigma the smallest singular value of h h_b^-1, it is now
-    farther than sigma (reach + skin - 2 d_max).  The list is kept while
-    that is at least ``reach`` and rebuilt otherwise, on every step when the
-    cell leaves no room for a skin.
-    """
-    sys = state.system
-    check_cutoff(sys.cell, reach)
-    nl, origin = state.neighbors, state.neighbor_origin
-    if nl is not None and nl.skin > 0.0:
-        mapped = origin.cell.cartesian(sys.cell.fractional(sys.positions))
-        moved = minimum_image(origin.cell, mapped - origin.positions)
-        d_max = np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))
-        sigma = np.linalg.svd(sys.cell.h @ origin.cell.inverse,
-                              compute_uv=False)[-1]
-        if sigma * (reach + nl.skin - 2.0 * d_max) >= reach:
-            return nl
-    width = np.min(sys.cell.perpendicular_widths())
-    skin = max(min(0.1 * reach, 0.49 * width - reach), 0.0)
-    state.neighbors = build_cell_list(sys, reach, skin)
-    state.neighbor_origin = sys
-    state.neighbor_rebuilds += 1
-    return state.neighbors
-
-
-def _evaluate_all(state: NptState, cfg: NptConfig):
-    sys = state.system
-    coul = state.solver.evaluate(
-        sys, neighbors=_neighbors(state, cfg.ewald.r_c),
-        extra=softcore_pairs(cfg.softcore_coeff, cfg.ewald.r_c))
-    return coul.energy, coul.extra, coul.forces, coul.pressure
-
-
-def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
-                  rng: np.random.Generator,
-                  positions: np.ndarray | None = None) -> NptState:
+def barostat_step(cell: Cell, positions: np.ndarray, cfg: NptConfig,
+                  p_ins_scalar: float,
+                  rng: np.random.Generator) -> tuple[Cell, np.ndarray]:
     """Euler-Maruyama step of the stochastic cell-rescaling SDE.
 
     d(eps) = -(beta_T/tau_P)(P0 - P_ins) dt + sqrt(2 T beta_T/(V tau_P)) dW
-    followed by V <- V e^{eps} with an affine rescale of ``positions``
-    (those of the state's system when None) into the new system of the
-    state.  The noise vanishes at target_T = 0 and is not drawn at
-    beta_T = 0.
+    followed by V <- V e^{eps}: returns the rescaled cell and ``positions``
+    rescaled affinely with it.  The noise vanishes at target_T = 0 and is
+    not drawn at beta_T = 0.
     """
-    sys = state.system
-    V = sys.cell.volume
+    V = cell.volume
     drift = -(cfg.beta_T / cfg.tau_P) * (cfg.target_P0 - p_ins_scalar) * cfg.dt
     noise = 0.0
     if cfg.beta_T > 0:
@@ -205,14 +147,7 @@ def barostat_step(state: NptState, cfg: NptConfig, p_ins_scalar: float,
     if new_volume < VOLUME_FLOOR:
         raise SimulationError(f"volume collapsed below floor: {new_volume:.3e}")
     scale = np.exp(deps / 3.0)
-    new_cell = Cell(h=scale * sys.cell.h)
-    if positions is None:
-        positions = sys.positions
-    state.system = replace(sys, cell=new_cell, positions=scale * positions)
-    grid = state.solver.spec.M
-    state.solver.rebind_cell(new_cell)
-    state.grid_changes += int(state.solver.spec.M != grid)
-    return state
+    return Cell(h=scale * cell.h), scale * positions
 
 
 @dataclass
@@ -248,53 +183,74 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     Same seed, same thread count, same inputs: bitwise-identical trajectory
     (all randomness flows through one PCG64 generator).  The temperature
     counts 3N - 3 degrees of freedom, so fewer than 2 particles raise
-    SimulationError.
+    SimulationError, and so does a ``solver`` built for other parameters
+    than cfg.ewald.
     """
     if sys.n < 2:
         raise SimulationError(f"integrate needs at least 2 particles "
                               f"(3N - 3 degrees of freedom), got {sys.n}")
+    if solver is None:
+        solver = CoulombSolver(sys.cell, cfg.ewald)
+    elif solver.params != cfg.ewald:
+        raise SimulationError(f"solver parameters {solver.params} differ from "
+                              f"cfg.ewald {cfg.ewald}")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     masses = sys.masses
     if initialize_momenta:
         p = maxwell_boltzmann_momenta(masses, cfg.target_T, rng)
     else:
         p = sys.momenta.copy()
-    solver = solver or CoulombSolver(sys.cell, cfg.ewald)
-    state = NptState(system=sys, solver=solver)
+    r_c = cfg.ewald.r_c
+    softcore = softcore_pairs(cfg.softcore_coeff, r_c)
+    neighbors, neighbor_rebuilds, grid_changes = None, 0, 0
 
-    u_coul, u_sc, forces, p_pot = _evaluate_all(state, cfg)
+    def evaluate(sys):
+        """Coulomb plus soft core in one pass over the Verlet list, which is
+        rebuilt, with a skin that the cell leaves room for, when it no
+        longer covers ``sys``."""
+        nonlocal neighbors, neighbor_rebuilds
+        if neighbors is None or not neighbors.covers(sys):
+            width = np.min(sys.cell.perpendicular_widths())
+            skin = max(min(0.1 * r_c, 0.49 * width - r_c), 0.0)
+            neighbors = build_cell_list(sys, r_c, skin)
+            neighbor_rebuilds += 1
+        return solver.evaluate(sys, neighbors=neighbors, extra=softcore)
+
     records = []
 
     def record(step):
-        V = state.system.cell.volume
+        V = sys.cell.volume
         ke = kinetic_energy(p, masses)
-        e_tot = u_coul + u_sc + ke
+        e_tot = out.energy + out.extra + ke
         records.append(ThermoRecord(
             step=step, temperature=kinetic_temperature(p, masses),
-            pressure=p_pot + kinetic_pressure(p, masses, V), volume=V,
-            u_coulomb=u_coul, u_softcore=u_sc, kinetic=ke,
+            pressure=out.pressure + kinetic_pressure(p, masses, V), volume=V,
+            u_coulomb=out.energy, u_softcore=out.extra, kinetic=ke,
             enthalpy=e_tot + cfg.target_P0 * V))
 
+    out = evaluate(sys)
     record(0)
     for step in range(1, cfg.n_steps + 1):
-        s = state.system
-        if np.max(np.abs(forces)) > FORCE_CEILING:
+        if np.max(np.abs(out.forces)) > FORCE_CEILING:
             raise SimulationError(f"force blowup at step {step}")
-        p += 0.5 * cfg.dt * forces
-        positions = s.positions + cfg.dt * p / masses[:, None]
+        p += 0.5 * cfg.dt * out.forces
+        positions = sys.positions + cfg.dt * p / masses[:, None]
+        cell = sys.cell
 
         if cfg.barostat:
             # The barostat consumes the most recent pressure evaluation;
             # rescaling before the force computation keeps the cost at one
             # evaluation per step.
-            p_ins = p_pot + kinetic_pressure(p, masses, s.cell.volume)
-            state = barostat_step(state, cfg, float(np.trace(p_ins)) / 3.0, rng,
-                                  positions=positions)
-        else:
-            state.system = replace(s, positions=positions)
+            p_ins = out.pressure + kinetic_pressure(p, masses, cell.volume)
+            cell, positions = barostat_step(cell, positions, cfg,
+                                            float(np.trace(p_ins)) / 3.0, rng)
+            grid = solver.spec.M
+            solver.rebind_cell(cell)
+            grid_changes += int(solver.spec.M != grid)
+        sys = replace(sys, cell=cell, positions=positions)
 
-        u_coul, u_sc, forces, p_pot = _evaluate_all(state, cfg)
-        p += 0.5 * cfg.dt * forces
+        out = evaluate(sys)
+        p += 0.5 * cfg.dt * out.forces
 
         if cfg.thermostat_period and step % cfg.thermostat_period == 0:
             t_now = kinetic_temperature(p, masses)
@@ -304,7 +260,7 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
         if step % cfg.record_every == 0 or step == cfg.n_steps:
             record(step)
 
-    burn = int(np.floor(cfg.burn_in_fraction * len(records)))
+    burn = int(np.floor(BURN_IN_FRACTION * len(records)))
     kept = records[burn:] if len(records) > burn else records[-1:]
     p_scalar = np.array([r.pressure_scalar for r in kept])
     vols = np.array([r.volume for r in kept])
@@ -315,6 +271,5 @@ def integrate(cfg: NptConfig, sys: ParticleSystem,
     return TrajectoryStatistics(records=records, mean_pressure=mp,
                                 stderr_pressure=sp, mean_volume=mv,
                                 stderr_volume=sv, mean_temperature=mt,
-                                n_samples=len(kept),
-                                grid_changes=state.grid_changes,
-                                neighbor_rebuilds=state.neighbor_rebuilds)
+                                n_samples=len(kept), grid_changes=grid_changes,
+                                neighbor_rebuilds=neighbor_rebuilds)

@@ -165,11 +165,11 @@ class NeighborList:
     (particle, ghost) pairs across faces (fields i and j, with the distance
     v), and ``owner`` the particle of each ghost.  pairs(step) reads them as
     one list: each unordered pair once, with i < j, in an order that is
-    deterministic for a given input but not sorted.  The skin lets a list
-    outlive its configuration: npt.integrate reuses one list from step to
-    step, across cell rescales too, until a pair outside it could have come
-    within r_c.  The pair passes mask every pair to their own cutoff and
-    reject a list whose r_c is below it.
+    deterministic for a given input but not sorted.  ``cell`` and
+    ``positions`` are the configuration the list was built from; the skin
+    lets the list outlive it, and covers() says for how long (a Verlet list,
+    Verlet, Phys. Rev. 1967).  The pair passes mask every pair to their own
+    cutoff and reject a list whose r_c is below it.
     """
 
     inner: np.ndarray
@@ -177,6 +177,27 @@ class NeighborList:
     owner: np.ndarray
     r_c: float
     skin: float
+    cell: Cell
+    positions: np.ndarray
+
+    def covers(self, sys: ParticleSystem) -> bool:
+        """Whether the list holds every pair of ``sys`` within r_c.
+
+        Positions are mapped back to the build cell, which removes an affine
+        rescale of the cell.  A pair outside the list was farther than
+        r_c + skin at the build; with every particle moved by at most d_max
+        since, and sigma the smallest singular value of h h_b^-1, it is now
+        farther than sigma (r_c + skin - 2 d_max).  The list covers ``sys``
+        while that is at least r_c; a list without a skin covers nothing.
+        """
+        if self.skin <= 0.0:
+            return False
+        mapped = self.cell.cartesian(sys.cell.fractional(sys.positions))
+        moved = minimum_image(self.cell, mapped - self.positions)
+        d_max = np.sqrt(np.max(np.einsum("ij,ij->i", moved, moved)))
+        sigma = np.linalg.svd(sys.cell.h @ self.cell.inverse,
+                              compute_uv=False)[-1]
+        return bool(sigma * (self.r_c + self.skin - 2.0 * d_max) >= self.r_c)
 
     @property
     def n_pairs(self) -> int:
@@ -262,4 +283,4 @@ def build_cell_list(sys: ParticleSystem, r_c: float, skin: float = 0.0) -> Neigh
     cross = tree.sparse_distance_matrix(cKDTree(ghosts), reach,
                                         output_type="ndarray")
     return NeighborList(inner=inner, cross=cross, owner=owner, r_c=float(r_c),
-                        skin=float(skin))
+                        skin=float(skin), cell=cell, positions=sys.positions)

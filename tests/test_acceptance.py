@@ -454,7 +454,6 @@ def npt_config(n_steps, seed=5, record_every=20):
     return NptConfig(dt=2e-3, n_steps=n_steps, target_T=0.5, target_P0=1.1,
                      tau_P=0.5, beta_T=0.2, thermostat_period=10,
                      barostat=True, seed=seed, record_every=record_every,
-                     burn_in_fraction=0.2,
                      ewald=EwaldParameters(r_c=2.2, delta_split=1e-4,
                                            oversampling=1.0, force_mode="ik"))
 

@@ -144,7 +144,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [("threads", "2"),
                                             ("coupling", "isotropic"),
-                                            ("delta_spread", "1e-4")])
+                                            ("delta_spread", "1e-4"),
+                                            ("burn_in_fraction", "0.2")])
     def test_removed_keys_rejected(self, tmp_path, key, value):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {value}\n")
@@ -180,12 +181,10 @@ class TestConfig:
         for key, value in text.items():
             if key == "barostat":
                 argv.append("--no-barostat")
-            elif key != "burn_in_fraction":
+            else:
                 argv += ["--" + key.replace("_", "-"), value]
-        args = build_parser().parse_args(argv)
-        assert not hasattr(args, "burn_in_fraction")    # config-only
-        from_flags = resolve_config(args)
-        for key in OPTIONS.keys() - {"burn_in_fraction"}:
+        from_flags = resolve_config(build_parser().parse_args(argv))
+        for key in OPTIONS:
             assert from_flags[key] == from_file[key], key
 
     def test_every_library_knob_has_an_option(self):

@@ -1,12 +1,14 @@
 """Toy NPT integrator: config, softcore, barostat, conservation laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from prolate_ewald import npt, realspace
+from prolate_ewald import realspace
 from prolate_ewald.evaluate import CoulombSolver, EwaldParameters
-from prolate_ewald.npt import (NptConfig, NptState, SimulationError,
-                               ThermoRecord, barostat_step, integrate,
+from prolate_ewald.npt import (NptConfig, SimulationError, ThermoRecord,
+                               barostat_step, integrate,
                                kinetic_temperature, maxwell_boltzmann_momenta,
                                softcore_pairs)
 from prolate_ewald.system import (Cell, ParticleSystem, build_cell_list,
@@ -47,14 +49,28 @@ def softcore(sys, coeff, cutoff, neighbors=None):
     return sc.energy, sc.forces, sc.pressure
 
 
+def step_evaluation(monkeypatch, cfg, sys, solver=None):
+    """The neighbor list and the EnergyBreakdown of the force evaluation
+    that integrate makes before its first step."""
+    seen = []
+    inner = CoulombSolver.evaluate
+
+    def kept(solver, sys, neighbors=None, extra=None):
+        out = inner(solver, sys, neighbors, extra)
+        seen.append((neighbors, out))
+        return out
+
+    monkeypatch.setattr(CoulombSolver, "evaluate", kept)
+    integrate(replace(cfg, n_steps=0), sys, solver=solver)
+    return seen[0]
+
+
 class TestConfig:
     def test_validation(self):
         for bad in (dict(dt=0.0), dict(dt=-1e-3), dict(tau_P=0.0),
                     dict(beta_T=-0.1), dict(n_steps=-1), dict(record_every=0),
                     dict(record_every=-5), dict(thermostat_period=-1),
-                    dict(burn_in_fraction=1.5), dict(burn_in_fraction=1.0),
-                    dict(burn_in_fraction=-0.1), dict(target_T=-0.5),
-                    dict(seed=-1)):
+                    dict(target_T=-0.5), dict(seed=-1)):
             with pytest.raises(SimulationError):
                 toy_config(**bad)
 
@@ -161,77 +177,76 @@ class TestMomenta:
 class TestBarostatStep:
     # target_T = 0 zeroes the noise amplitude sqrt(2 T beta_T / (V tau_P)),
     # which makes a barostat step deterministic.
-    def make_state(self, cfg):
-        sys = toy_system(n=16, L=8.0, seed=5)
-        solver = CoulombSolver(sys.cell, cfg.ewald)
-        return NptState(system=sys, solver=solver)
+    sys = toy_system(n=16, L=8.0, seed=5)
+
+    def step(self, cfg, p_ins):
+        return barostat_step(self.sys.cell, self.sys.positions, cfg, p_ins,
+                             np.random.default_rng(0))
 
     def test_equilibrium_leaves_volume(self):
         cfg = toy_config(barostat=True, target_T=0.0, target_P0=0.3)
-        state = self.make_state(cfg)
-        v0 = state.system.cell.volume
-        state = barostat_step(state, cfg, cfg.target_P0,
-                              np.random.default_rng(0))
-        assert state.system.cell.volume == pytest.approx(v0, rel=1e-15)
+        cell, _ = self.step(cfg, cfg.target_P0)
+        assert cell.volume == pytest.approx(self.sys.cell.volume, rel=1e-15)
 
     def test_compression_direction(self):
         # P_ins above target expands the box, below target compresses it.
         cfg = toy_config(barostat=True, target_T=0.0, target_P0=0.0)
-        state = self.make_state(cfg)
-        v0 = state.system.cell.volume
-        state = barostat_step(state, cfg, 1.0, np.random.default_rng(0))
-        assert state.system.cell.volume > v0
-        state2 = self.make_state(cfg)
-        state2 = barostat_step(state2, cfg, -1.0, np.random.default_rng(0))
-        assert state2.system.cell.volume < v0
+        v0 = self.sys.cell.volume
+        assert self.step(cfg, 1.0)[0].volume > v0
+        assert self.step(cfg, -1.0)[0].volume < v0
 
     def test_fractional_coordinates_fixed(self):
         cfg = toy_config(barostat=True, target_T=0.0)
-        state = self.make_state(cfg)
-        frac0 = state.system.cell.fractional(state.system.positions)
-        state = barostat_step(state, cfg, 5.0, np.random.default_rng(0))
-        frac1 = state.system.cell.fractional(state.system.positions)
-        np.testing.assert_allclose(frac1, frac0, atol=1e-13)
+        before = self.sys.positions.copy()
+        frac0 = self.sys.cell.fractional(self.sys.positions)
+        cell, positions = self.step(cfg, 5.0)
+        np.testing.assert_allclose(cell.fractional(positions), frac0,
+                                   atol=1e-13)
+        np.testing.assert_array_equal(self.sys.positions, before)
 
     def test_volume_floor(self):
         cfg = toy_config(barostat=True, target_T=0.0, beta_T=1.0,
                          tau_P=1e-3, dt=1.0)
-        state = self.make_state(cfg)
         with pytest.raises(SimulationError, match="volume"):
-            barostat_step(state, cfg, -1e9, np.random.default_rng(0))
+            self.step(cfg, -1e9)
 
     def test_small_moves_keep_grid_pinned(self):
         cfg = toy_config(barostat=True, target_T=0.0)
-        state = self.make_state(cfg)
-        M0 = state.solver.spec.M
-        state = barostat_step(state, cfg, cfg.target_P0 + 1e-4,
-                              np.random.default_rng(0))
-        assert state.solver.spec.M == M0
+        solver = CoulombSolver(self.sys.cell, cfg.ewald)
+        M0 = solver.spec.M
+        cell, _ = self.step(cfg, cfg.target_P0 + 1e-4)
+        solver.rebind_cell(cell)
+        assert solver.spec.M == M0
 
-    def test_rebind_matches_fresh_solver(self):
-        # The plan is a function of the cell: after every barostat step the
-        # solver holds what a new solver on that cell would, bit for bit.
-        # The start cell sits just above a grid boundary (M 12 -> 14), so
-        # the compressing steps cross it.
-        cfg = toy_config(barostat=True, target_P0=100.0, beta_T=0.5)
+    def test_rebind_matches_fresh_solver(self, monkeypatch):
+        # The plan is a function of the cell: at every force evaluation of a
+        # barostatted run the solver holds what a new solver on that cell
+        # would, bit for bit.  The start cell sits just above a grid boundary
+        # (M 12 -> 14), so the compressing steps cross it.
+        cfg = toy_config(n_steps=6, barostat=True, target_P0=100.0,
+                         beta_T=0.5)
         kmax = CoulombSolver(Cell.orthorhombic([8.0] * 3), cfg.ewald).kern.kmax
         sys = toy_system(n=8, L=12 * np.pi / kmax * (1 + 1e-4), seed=3)
-        state = NptState(system=sys, solver=CoulombSolver(sys.cell, cfg.ewald))
-        rng = np.random.default_rng(1)
-        grids = {state.solver.spec.M}
-        for _ in range(6):
-            state = barostat_step(state, cfg, 0.0, rng)
-            s, solver = state.system, state.solver
+        grids = []
+        inner = CoulombSolver.evaluate
+
+        def checked(solver, s, neighbors=None, extra=None):
             fresh = CoulombSolver(s.cell, cfg.ewald)
             assert solver.spec.M == fresh.spec.M
             assert solver.spec.spacing == fresh.spec.spacing
-            a, b = solver.evaluate(s), fresh.evaluate(s)
+            a = inner(solver, s, neighbors, extra)
+            b = inner(fresh, s, neighbors, extra)
             assert a.energy == b.energy
             np.testing.assert_array_equal(a.forces, b.forces)
             np.testing.assert_array_equal(a.pressure, b.pressure)
-            grids.add(solver.spec.M)
-        assert len(grids) == 2
-        assert state.grid_changes == 1
+            grids.append(solver.spec.M)
+            return a
+
+        monkeypatch.setattr(CoulombSolver, "evaluate", checked)
+        stats = integrate(cfg, sys)
+        assert len(grids) == cfg.n_steps + 1
+        assert len(set(grids)) == 2
+        assert stats.grid_changes == 1
 
 
 class TestIntegrate:
@@ -265,19 +280,28 @@ class TestIntegrate:
         for rec in stats.records[1:]:
             assert rec.temperature == pytest.approx(0.8, rel=1e-10)
 
-    def test_momentum_conservation_ik(self):
+    def test_momentum_conservation_ik(self, monkeypatch):
         # Verlet changes total momentum by dt * sum(F) per step, so the
         # per-step drift bound reduces to a net-force bound on the combined
         # Coulomb + softcore force field.
-        from prolate_ewald.npt import _evaluate_all
         cfg = toy_config(ewald=EwaldParameters(r_c=1.5, delta_split=1e-4,
                                                force_mode="ik"))
-        sys = toy_system(seed=10)
-        solver = CoulombSolver(sys.cell, cfg.ewald)
-        state = NptState(system=sys, solver=solver)
-        _, _, forces, _ = _evaluate_all(state, cfg)
+        _, out = step_evaluation(monkeypatch, cfg, toy_system(seed=10))
+        forces = out.forces
         scale = np.linalg.norm(forces, axis=1).max()
         assert np.linalg.norm(forces.sum(axis=0)) <= 1e-10 * scale
+
+    def test_solver_for_other_parameters_rejected(self):
+        # The soft core is shifted at cfg.ewald.r_c, so a solver truncating
+        # at another cutoff would give quietly wrong energies.
+        cfg = toy_config(n_steps=2)
+        sys = toy_system()
+        solver = CoulombSolver(sys.cell, EwaldParameters(r_c=1.2,
+                                                         delta_split=1e-2))
+        with pytest.raises(SimulationError,
+                           match=r"r_c=1\.2, delta_split=0\.01.*"
+                                 r"r_c=1\.5, delta_split=0\.0001"):
+            integrate(cfg, sys, solver=solver)
 
     def test_one_particle_rejected(self):
         # 3N - 3 degrees of freedom leave no temperature for N = 1.
@@ -359,18 +383,18 @@ class TestIntegrate:
 
 class TestVerletList:
     def watch(self, monkeypatch):
-        """Wrap npt._neighbors: record the pairs the list in use misses."""
+        """Wrap CoulombSolver.evaluate: record the pairs within reach that
+        the list it is given misses."""
         seen = {"calls": 0, "missing": 0}
-        inner = npt._neighbors
+        inner = CoulombSolver.evaluate
 
-        def checked(state, reach):
-            nl = inner(state, reach)
-            fresh = build_cell_list(state.system, reach)
-            seen["missing"] += len(pair_set(fresh) - pair_set(nl))
+        def checked(solver, sys, neighbors=None, extra=None):
+            fresh = build_cell_list(sys, neighbors.r_c)
+            seen["missing"] += len(pair_set(fresh) - pair_set(neighbors))
             seen["calls"] += 1
-            return nl
+            return inner(solver, sys, neighbors, extra)
 
-        monkeypatch.setattr(npt, "_neighbors", checked)
+        monkeypatch.setattr(CoulombSolver, "evaluate", checked)
         return seen
 
     def test_reused_list_holds_every_pair_in_reach(self, monkeypatch):
@@ -403,19 +427,48 @@ class TestVerletList:
         # reach / (reach + skin) can bring a pair from outside the list
         # into reach, so the list must be rebuilt there.
         base = toy_system(n=216, L=7.5, seed=7, spacing=2.0)
-        state = NptState(system=base, solver=None)
         reach = 2.2
-        npt._neighbors(state, reach)
+        skin = 0.1 * reach       # the skin integrate picks in this cell
+        nl, rebuilds = build_cell_list(base, reach, skin), 1
         for f in np.arange(0.99, 0.845, -0.01):
-            state.system = ParticleSystem(cell=Cell(h=f * base.cell.h),
-                                          positions=f * base.positions,
-                                          charges=base.charges)
-            nl = npt._neighbors(state, reach)
-            fresh = build_cell_list(state.system, reach)
+            sys = ParticleSystem(cell=Cell(h=f * base.cell.h),
+                                 positions=f * base.positions,
+                                 charges=base.charges)
+            if not nl.covers(sys):
+                nl, rebuilds = build_cell_list(sys, reach, skin), rebuilds + 1
+            fresh = build_cell_list(sys, reach)
             missing = pair_set(fresh) - pair_set(nl)
             assert not missing, (f, missing)
         # 0.99 to 0.85 crosses reach / (reach + skin) = 1 / 1.1 once.
-        assert state.neighbor_rebuilds == 2
+        assert rebuilds == 2
+
+    def test_reuse_holds_under_shear(self):
+        # A triclinic cell under a sequence of sheared rescales (an upper
+        # triangular strain of h) plus small random moves: wherever covers()
+        # keeps the list, it holds every pair a fresh list finds within r_c.
+        # The strains are large beside the moves, so a rule without sigma,
+        # the smallest singular value of h h_b^-1, would miss pairs here.
+        rng = np.random.default_rng(17)
+        sys = TestFusedPairPass.sheared(
+            toy_system(n=216, L=7.5, seed=7, spacing=2.0), 0.2)
+        r_c, skin = 2.0, 0.2
+        nl = build_cell_list(sys, r_c, skin)
+        kept = rebuilds = 0
+        for _ in range(40):
+            strain = np.eye(3) + np.triu(0.02 * rng.standard_normal((3, 3)))
+            sys = ParticleSystem(
+                cell=Cell(h=strain @ sys.cell.h), charges=sys.charges,
+                positions=(sys.positions @ strain.T
+                           + 1e-3 * rng.standard_normal((sys.n, 3))))
+            if nl.covers(sys):
+                kept += 1
+                missing = pair_set(build_cell_list(sys, r_c)) - pair_set(nl)
+                assert not missing, missing
+            else:
+                nl = build_cell_list(sys, r_c, skin)
+                rebuilds += 1
+        assert not sys.cell.is_orthorhombic
+        assert kept > 0 and rebuilds > 0, (kept, rebuilds)
 
 
 class TestFusedPairPass:
@@ -429,7 +482,7 @@ class TestFusedPairPass:
 
     @pytest.mark.parametrize("shear", [0.0, 0.25])
     @pytest.mark.parametrize("prefactor", [1.0, 1.7, 0.0])
-    def test_matches_passes_run_apart(self, shear, prefactor):
+    def test_matches_passes_run_apart(self, monkeypatch, shear, prefactor):
         # The NPT step sums the soft core inside the Coulomb near-field pass
         # over its Verlet list (built with a skin, so it holds pairs beyond
         # r_c); run apart over a list without a skin, short_range (inside
@@ -439,13 +492,14 @@ class TestFusedPairPass:
         cfg = toy_config(softcore_coeff=0.7, ewald=EwaldParameters(
             r_c=1.5, delta_split=1e-4, prefactor=prefactor))
         solver = CoulombSolver(sys.cell, cfg.ewald)
-        state = NptState(system=sys, solver=solver)
-        u_coul, u_sc, forces, p_pot = npt._evaluate_all(state, cfg)
-        assert state.neighbors.skin > 0.0
+        nl, out = step_evaluation(monkeypatch, cfg, sys, solver)
+        u_coul, u_sc, forces, p_pot = (out.energy, out.extra, out.forces,
+                                       out.pressure)
+        assert nl.skin > 0.0
         assert sys.cell.is_orthorhombic == (shear == 0.0)
 
         bare = build_cell_list(sys, cfg.ewald.r_c)
-        assert bare.n_pairs < state.neighbors.n_pairs
+        assert bare.n_pairs < nl.n_pairs
         coul = solver.evaluate(sys, neighbors=bare)
         e_sc, f_sc, p_sc = softcore(sys, cfg.softcore_coeff, cfg.ewald.r_c,
                                     neighbors=bare)
@@ -477,10 +531,10 @@ class TestFusedPairPass:
 
         sys = toy_system(n=64, L=5.0, seed=12)
         cfg = toy_config()
-        state = NptState(system=sys, solver=CoulombSolver(sys.cell, cfg.ewald))
+        solver = CoulombSolver(sys.cell, cfg.ewald)
         monkeypatch.setattr(realspace, "pair_sums", counted)
         monkeypatch.setattr(realspace.np, "bincount", counted_bincount)
-        npt._evaluate_all(state, cfg)
-        assert 0 < state.neighbors.n_pairs <= realspace.chunk_length(sys.n)
+        nl, _ = step_evaluation(monkeypatch, cfg, sys, solver)
+        assert 0 < nl.n_pairs <= realspace.chunk_length(sys.n)
         assert calls == [2]
         assert len(bincounts) == 6

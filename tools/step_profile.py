@@ -31,8 +31,8 @@ import workloads  # noqa: E402
 from tracer import OpSpans, Tracer  # noqa: E402
 
 CALLEES = (
-    "npt.integrate", "npt._evaluate_all", "npt._neighbors",
-    "system.build_cell_list", "evaluate.CoulombSolver.evaluate",
+    "npt.integrate", "system.NeighborList.covers", "system.build_cell_list",
+    "evaluate.CoulombSolver.evaluate",
     "realspace.short_range", "realspace.pair_sums", "mesh.forward_density",
     "mesh._window_weights", "mesh._deposit", "mesh.TransformProvider.forward",
     "mesh.long_range_energy", "mesh.long_range_pressure",
