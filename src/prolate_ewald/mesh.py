@@ -6,15 +6,17 @@ axis, with the particles ordered by base node), spread charges through it
 onto a uniform mesh, take one real-to-complex forward FFT, apply diagonal
 (mode-by-mode) scaling to the retained modes of the half spectrum, and
 either reduce over modes (energy, global pressure: no inverse transform) or
-run one stacked inverse FFT of all the fields needed, pruned to the lines
-the retained modes reach, and gather through the same stencil (forces,
+run one inverse FFT call for all the fields needed, pruned to the lines the
+retained modes reach and walked one group of fields and one block of
+x-planes at a time, and gather through the same stencil (forces,
 per-particle pressure).  forward_density returns the Fourier coefficients
 together with the stencil, so each configuration builds it exactly once
 and sorts it once: neighbouring particles in the stencil read neighbouring
 grid nodes in the spread and in every gather.  Only the O(N P) stencil is
 stored; a pass allocates one block of the window's Chebyshev-Vandermonde
 matrix (at most 3 CHUNK_NODES values) and one chunk of index terms, flat
-indices and weight products (at most CHUNK_NODES nodes), so memory stays
+indices and weight products (at most CHUNK_NODES nodes), and the inverse
+FFT one group's half spectrum besides its real fields, so memory stays
 bounded as N and P grow.
 
 Any cell, triclinic or orthorhombic, takes the same path, as in smooth PME
@@ -44,6 +46,14 @@ from .pswf import WindowTable
 from .system import Cell, ParticleSystem
 
 
+# Stencil nodes expanded at a time: the flat indices and weight products of
+# one chunk of particles, whatever N and P.  It also sets the block of
+# particles whose window factors are evaluated together (_window_factors),
+# and the half-spectrum nodes the inverse transform holds in one group of
+# fields and in one block of its real pass (TransformProvider.inverse).
+CHUNK_NODES = 2**14
+
+
 class PlanningError(Exception):
     """A grid invariant cannot be satisfied; the message names it."""
 
@@ -69,26 +79,40 @@ class TransformProvider:
     def inverse(self, coefficients: np.ndarray, modes: ModeWorkspace) -> np.ndarray:
         """Real grids (F x M) of stacked retained-mode coefficients (F x modes).
 
-        The passes of irfftn run in its own order, each in place on the lines
-        the retained modes |m_d| <= modes.band[d] reach (FFT pruning): along
-        the first grid axis the (m_2, m_3) lines inside the band, along the
-        second the m_3 inside it, then the real transform of every line
-        along the third.  The result is irfftn of the zero-filled half
-        spectrum bit for bit.
+        The fields are transformed a group at a time, the group's zero-filled
+        half spectrum holding about CHUNK_NODES nodes (at least one field).
+        On it the passes of irfftn run in its own order, the complex ones in
+        place on the lines the retained modes |m_d| <= modes.band[d] reach
+        (FFT pruning): along the first grid axis the (m_2, m_3) lines inside
+        the band, along the second the m_3 inside it.  The real transform of
+        every line along the third axis then runs over blocks of x-planes of
+        about CHUNK_NODES half-spectrum nodes, each written into the output.
+        The result is irfftn of the zero-filled half spectrum bit for bit,
+        and besides it the transform holds one group's half spectrum.
         """
         self.inverse_count += 1
         (M1, M2, M3), (_, b2, b3) = modes.M, modes.band
-        half = np.zeros((len(coefficients), M1, M2, M3 // 2 + 1), dtype=complex)
-        half.reshape(len(half), -1)[:, modes.flat] = coefficients
+        plane = M2 * (M3 // 2 + 1)
+        group = max(1, CHUNK_NODES // (M1 * plane))
+        planes = max(1, CHUNK_NODES // (min(group, len(coefficients)) * plane))
         rows = ([slice(None)] if 2 * b2 + 1 >= M2
                 else [slice(0, b2 + 1), slice(M2 - b2, None)])
-        for r in rows:
-            scipy.fft.ifft(half[:, :, r, :b3 + 1], axis=1, norm="forward",
-                           overwrite_x=True)
-        scipy.fft.ifft(half[..., :b3 + 1], axis=2, norm="forward", overwrite_x=True)
-        fields = scipy.fft.irfft(half, n=M3, norm="forward")
         # irfftn's own factor: 1 / (M_1 M_2 M_3) rounded through long double.
-        fields *= float(1 / np.longdouble(M1 * M2 * M3))
+        factor = float(1 / np.longdouble(M1 * M2 * M3))
+        fields = np.empty((len(coefficients), M1, M2, M3))
+        for g in range(0, len(fields), group):
+            part = coefficients[g:g + group]
+            half = np.zeros((len(part), M1, M2, M3 // 2 + 1), dtype=complex)
+            half.reshape(len(half), -1)[:, modes.flat] = part
+            for r in rows:
+                scipy.fft.ifft(half[:, :, r, :b3 + 1], axis=1, norm="forward",
+                               overwrite_x=True)
+            scipy.fft.ifft(half[..., :b3 + 1], axis=2, norm="forward",
+                           overwrite_x=True)
+            for x in range(0, M1, planes):
+                block = scipy.fft.irfft(half[:, x:x + planes], n=M3, norm="forward")
+                np.multiply(block, factor, out=fields[g:g + group, x:x + planes])
+            del half, block
         return fields
 
 
@@ -164,12 +188,6 @@ def plan_grid(cell: Cell, kern: SplitKernel, window: WindowTable,
                     spacing=tuple(float(s) for s in spacing), window=window)
 
 
-# Stencil nodes expanded at a time: the flat indices and weight products of
-# one chunk of particles, whatever N and P.  It also sets the block of
-# particles whose window factors are evaluated together (_window_factors).
-CHUNK_NODES = 2**14
-
-
 @dataclass(frozen=True)
 class SpectralDensity:
     """Fourier coefficients of the spread charge and the stencil that spread it.
@@ -207,6 +225,7 @@ class SpectralDensity:
             rows = self.order[part].astype(np.intp)
             for f, field in enumerate(values):
                 out[f, rows] = np.einsum("pn,pn->n", np.take(field, flat), weights)
+            del flat, weights
         return out
 
     def gather_gradient(self, field: np.ndarray) -> np.ndarray:
@@ -233,6 +252,7 @@ class SpectralDensity:
             out[0, rows] = np.einsum("abn,an,bn->n", z, dx, wy)
             out[1, rows] = np.einsum("abn,an,bn->n", z, wx, dy)
             out[2, rows] = np.einsum("abn,an,bn->n", z_dz, wx, wy)
+            del flat, vals, z, z_dz
         return out.T @ (np.asarray(spec.M)[:, None] * self.cell.inverse)
 
 
@@ -288,7 +308,9 @@ def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
     stencil run over whole chunks rather than over P nodes at a time.  A
     chunk holds at most CHUNK_NODES stencil nodes (at least one particle),
     and its per-axis index terms (3 x P x n) are built with it, so the
-    expanded stencil stays bounded as N and P grow.
+    expanded stencil stays bounded as N and P grow.  The generator drops a
+    chunk before building the next, and so does every pass over it, so one
+    chunk is expanded at a time.
     """
     P, M = spec.P, np.asarray(spec.M)[:, None, None]
     strides = np.array([spec.M[1] * spec.M[2], spec.M[2], 1])[:, None, None]
@@ -299,7 +321,9 @@ def _chunks(first: np.ndarray, factors: np.ndarray, spec: GridSpec):
         # Node j along axis d of each particle, as its term of the flat index.
         a = np.mod(first[:, None, part] + nodes, M) * strides
         flat = a[0, :, None, None] + a[1, None, :, None] + a[2, None, None, :]
+        del a
         yield part, flat.reshape(P**3, -1), factors[:, :, part]
+        del flat
 
 
 def _products(w: np.ndarray) -> np.ndarray:
@@ -317,6 +341,7 @@ def _deposit(first: np.ndarray, factors: np.ndarray, charges: np.ndarray,
         weights = _products(w)
         weights *= charges[part]
         np.add.at(grid, flat.ravel(), weights.ravel())
+        del flat, weights
     return grid.reshape(spec.M)
 
 
@@ -462,8 +487,8 @@ def long_range_forces(rho_hat: SpectralDensity, sys: ParticleSystem,
                       modes: ModeWorkspace | None = None) -> np.ndarray:
     """Far-field forces by spectral differentiation and window gathering.
 
-    ``ik``: the three fields of i k_d Fhat What^-2 rho_hat, from one stacked
-    inverse transform, gathered with the window (momentum-conserving).
+    ``ik``: the three fields of i k_d Fhat What^-2 rho_hat, from one inverse
+    transform call, gathered with the window (momentum-conserving).
     ``analytic``: one inverse transform of Fhat What^-2 rho_hat, gathered
     with the window gradient (energy-conserving for small steps).
     """
@@ -484,8 +509,9 @@ def local_pressure(rho_hat: SpectralDensity, sys: ParticleSystem,
                    modes: ModeWorkspace | None = None) -> np.ndarray:
     """Per-particle far-field pressure tensors (N x 3 x 3).
 
-    One stacked inverse transform gives the six fields (one per independent
-    tensor component), and one trapezoidal window gather reads them all;
+    One inverse transform call gives the six fields (one per independent
+    tensor component), a group of fields at a time (TransformProvider.inverse),
+    and one trapezoidal window gather reads them all;
     the sum over particles reproduces the global far-field pressure up to
     gather aliasing.
     """

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -292,11 +293,49 @@ class TestPrunedInverse:
         assert got.shape == (fields,) + spec.M
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("plan, fields", [("unit", 3), ("oversampled", 6),
+                                              ("odd", 6)])
+    def test_walks_field_groups_and_plane_blocks(self, plan, fields, monkeypatch):
+        # Each group of fields holds at most CHUNK_NODES half-spectrum nodes
+        # (or one field), and each block of the real pass at most CHUNK_NODES
+        # (or one x-plane).  These plans take groups of fewer fields than F,
+        # the unit plan an uneven last group, the others several blocks.
+        spec, modes = inverse_plan(plan)
+        M1, M2, M3 = spec.M
+        plane = M2 * (M3 // 2 + 1)
+        blocks = []
+        irfft = scipy.fft.irfft
+
+        def spy(x, *args, **kwargs):
+            blocks.append(x.shape[:2])
+            return irfft(x, *args, **kwargs)
+
+        rng = np.random.default_rng(fields + 10)
+        shape = (fields, modes.flat.size)
+        coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        monkeypatch.setattr(scipy.fft, "irfft", spy)
+        got = TransformProvider().inverse(coefficients, modes)
+        monkeypatch.undo()
+        groups, walked = [], 0     # fields per group; x-planes of the group
+        for g, planes in blocks:
+            assert g * planes * plane <= mesh.CHUNK_NODES or planes == 1
+            walked += planes
+            if walked == M1:
+                groups.append(g)
+                walked = 0
+        assert walked == 0 and sum(groups) == fields and max(groups) < fields
+        assert all(g * M1 * plane <= mesh.CHUNK_NODES or g == 1 for g in groups)
+        if plan != "unit":
+            assert len(blocks) > len(groups)
+        want = scipy.fft.irfftn(half_spectra(coefficients, modes), s=spec.M,
+                                axes=(-3, -2, -1))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_peak_memory_one_half_spectrum(self):
         # At oversampling 1 the band covers nearly the whole half spectrum.
-        # The passes run in place on the one stacked half spectrum, which
-        # lives with the real fields it becomes; a second copy of it, or of
-        # its lines inside the band, adds about the whole stack.
+        # The passes run in place on one group's half spectrum, which lives
+        # with the real fields; a second copy of the stack, or of its lines
+        # inside the band, adds about the whole stack.
         spec, modes = inverse_plan("unit")
         rng = np.random.default_rng(7)
         coefficients = (rng.standard_normal((6, modes.flat.size))
@@ -311,6 +350,27 @@ class TestPrunedInverse:
             tracemalloc.stop()
         half = half_spectra(coefficients, modes).nbytes
         assert peak < half + fields.nbytes + half // 6
+
+    def test_peak_memory_one_field_group(self):
+        # At oversampling 2 one field's half spectrum exceeds CHUNK_NODES
+        # nodes, so the six fields are transformed one at a time: besides
+        # the real fields the transform holds a sixth of the stacked half
+        # spectra and one block of x-planes.  The whole stack alongside the
+        # fields crosses the bound.
+        spec, modes = inverse_plan("oversampled")
+        rng = np.random.default_rng(8)
+        coefficients = (rng.standard_normal((6, modes.flat.size))
+                        + 1j * rng.standard_normal((6, modes.flat.size)))
+        provider = TransformProvider()
+        provider.inverse(coefficients, modes)
+        tracemalloc.start()
+        try:
+            fields = provider.inverse(coefficients, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        half = half_spectra(coefficients, modes).nbytes
+        assert peak < fields.nbytes + half // 3
 
 
 class TestLongRange:
@@ -619,7 +679,7 @@ class TestOneStencil:
 
     @pytest.mark.parametrize("op", ["ik", "analytic", "local_pressure"])
     def test_one_transform_each_way(self, op):
-        # One forward FFT, and one stacked inverse FFT for all the fields:
+        # One forward FFT, and one inverse FFT call for all the fields:
         # three for ik forces, one for analytic, six for local pressure.
         sys = random_neutral_system(24, [6.0, 6.0, 6.0], seed=11)
         solver = CoulombSolver(sys.cell, EwaldParameters(
@@ -634,7 +694,7 @@ class TestOneStencil:
 
     def test_local_pressure_peak_memory(self):
         # The stencil is expanded in chunks of CHUNK_NODES nodes, and one
-        # stacked inverse gives the six fields.  A stencil materialized for
+        # inverse call gives the six fields.  A stencil materialized for
         # all particles, or a gather of all particles at once, adds at least
         # one N P^3 array of doubles on top of the fields.
         n = 2000
@@ -822,7 +882,7 @@ class TestWindowBlocks:
     def test_gather_memory_independent_of_n(self):
         # A gather pass builds its index terms, flat indices, taken values
         # and weight products for one chunk of at most CHUNK_NODES nodes at
-        # a time: 4.3 arrays of CHUNK_NODES doubles at its peak, whatever
+        # a time: 3.2 arrays of CHUNK_NODES doubles at its peak, whatever
         # N.  Index terms built for all N particles up front (two arrays of
         # 3 x P x N integers, 4.8 MB here) cross the bound of eight.
         sys = self.system(20000, seed=50)
@@ -838,3 +898,29 @@ class TestWindowBlocks:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 8 * mesh.CHUNK_NODES * 8
+
+    @pytest.mark.parametrize("op", ["gather", "deposit"])
+    def test_one_chunk_alive_at_a_time(self, op):
+        # The passes and _chunks drop each chunk's flat indices, weights and
+        # taken values before the next chunk is expanded: 3.2 arrays of
+        # CHUNK_NODES doubles at the peak.  A chunk still held while the
+        # next is built reads 4.3.
+        sys = self.system(2000, seed=51)
+        spec = plan_grid(sys.cell, kernel_for(self.delta, self.r_c),
+                         window_for(self.delta))
+        rho = forward_density(sys, spec, TransformProvider())
+        assert sys.n > 2 * mesh.CHUNK_NODES // spec.P**3
+        if op == "gather":
+            run = partial(rho.gather,
+                          np.random.default_rng(5).standard_normal((3,) + spec.M))
+        else:
+            run = partial(mesh._deposit, rho.first, rho.factors,
+                          sys.charges[rho.order], spec)
+        run()
+        tracemalloc.start()
+        try:
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 3.6 * mesh.CHUNK_NODES * 8
